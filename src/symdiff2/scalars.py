@@ -27,6 +27,9 @@ DEFAULT_TOLERANCE = 1e-9
 
 _FR0 = Fraction(0)
 _FR1 = Fraction(1)
+# results of the hot operators skip __init__'s coercion: both parts are
+# already Fractions
+_new = object.__new__
 
 
 def _iroot(n: int, k: int):
@@ -76,18 +79,24 @@ class GaussianRational:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        r = _new(GaussianRational)
+        r.re = self.re + o.re
+        r.im = self.im + o.im if self.im or o.im else _FR0
+        return r
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        r = _new(GaussianRational)
+        r.re = self.re - o.re
+        r.im = self.im - o.im if self.im or o.im else _FR0
+        return r
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -96,18 +105,22 @@ class GaussianRational:
         return GaussianRational(o.re - self.re, o.im - self.im)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        r = _new(GaussianRational)
+        r.re, r.im = -self.re, -self.im if self.im else _FR0
+        return r
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
+        r = _new(GaussianRational)
         # real-only fast path: the common case by far
         if not self.im and not o.im:
-            return GaussianRational(self.re * o.re)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+            r.re, r.im = self.re * o.re, _FR0
+        else:
+            r.re = self.re * o.re - self.im * o.im
+            r.im = self.re * o.im + self.im * o.re
+        return r
 
     __rmul__ = __mul__
 

@@ -14,6 +14,13 @@ through ``min(Na + val(b), Nb + val(a))``, a derivative loses one degree,
 dividing by ``z1^k`` loses ``k``.  Consuming more precision than guaranteed
 raises instead of silently truncating.
 
+``invert_unit``, ``exp``, ``log``, ``sqrt`` and fractional ``pow_scalar`` are
+solved degree by degree from one recurrence of the Euler operator
+``z1*d/dz1 + z2*d/dz2`` (Brent-Kung for exp/log, J.C.P. Miller for powers),
+which costs about one truncated product instead of one per degree.  Its
+degree-d equation reads only input parts of degree <= d, so the result is
+guaranteed through exactly the order the series sums guaranteed.
+
 :class:`Series1` is the one-variable sibling (used for slices along the axes
 and for Laurent data along the leaf), and :class:`CoordMap` packages a pair
 of series as a formal change of coordinates with composition and reversion.
@@ -330,29 +337,11 @@ class Series2:
 
     def invert_unit(self, order=None) -> "Series2":
         if not self.is_unit:
-            raise NotAUnit(
-                "invert_unit: constant term vanishes or series has a pole"
-            )
+            raise NotAUnit("invert_unit: constant term vanishes or series has a pole")
+        cinv = self.ctx.inv(self.constant_term)
         if len(self.coeffs) == 1:
-            return Series2(
-                self.ctx,
-                {(0, 0): self.ctx.inv(self.constant_term)},
-                self.order,
-                self.names,
-            )
-        order = self._resolve_order(order)
-        c = self.constant_term
-        cinv = self.ctx.inv(c)
-        one = Series2.const(self.ctx, self.ctx.one, order, self.names)
-        w = (one - self.scale(cinv)).truncated(order)
-        acc = one
-        term = one
-        k = 1
-        while k <= order and not term.is_zero():
-            term = term * w
-            acc = acc + term
-            k += 1
-        return acc.scale(cinv)
+            return Series2(self.ctx, {(0, 0): cinv}, self.order, self.names)
+        return self._unit_power(self.ctx.from_int(-1), cinv, order)
 
     def exp(self, order=None) -> "Series2":
         if self.pole:
@@ -360,15 +349,7 @@ class Series2:
         order = self._resolve_order(order)
         c = self.constant_term
         lead = self.ctx.exp(c) if not self.ctx.is_zero(c) else self.ctx.one
-        t = (self - c).truncated(order)
-        acc = Series2.const(self.ctx, self.ctx.one, order, self.names)
-        term = acc
-        k = 1
-        while k <= order and not term.is_zero():
-            term = (term * t).scale(self.ctx.from_rational(Fraction(1, k)))
-            acc = acc + term
-            k += 1
-        return acc.scale(lead)
+        return self._graded(order, self.ctx.one, 0).scale(lead)
 
     def log(self, order=None) -> "Series2":
         if not self.is_unit:
@@ -376,19 +357,8 @@ class Series2:
         order = self._resolve_order(order)
         c = self.constant_term
         lead = self.ctx.zero if self.ctx.eq(c, self.ctx.one) else self.ctx.log(c)
-        w = (self.scale(self.ctx.inv(c)) - self.ctx.one).truncated(order)
-        acc = Series2.zero(self.ctx, order, self.names)
-        term = Series2.const(self.ctx, self.ctx.one, order, self.names)
-        sign = 1
-        k = 1
-        while k <= order:
-            term = term * w
-            if term.is_zero():
-                break
-            acc = acc + term.scale(self.ctx.from_rational(Fraction(sign, k)))
-            sign = -sign
-            k += 1
-        return acc + lead
+        u = self.scale(self.ctx.inv(c))
+        return u._graded(order, self.ctx.one, 1, log=True) + lead
 
     def pow_scalar(self, e, order=None) -> "Series2":
         """Raise to a scalar power; integer exponents reduce to products."""
@@ -397,22 +367,49 @@ class Series2:
             return self._int_pow(n, None if order is None else order)
         if not self.is_unit:
             raise NotAUnit("fractional powers require a unit base")
-        order = self._resolve_order(order)
-        c = self.constant_term
-        lead = self.ctx.pow(c, e)
-        u = self.scale(self.ctx.inv(c))
-        escalar = _exponent_scalar(self.ctx, e)
-        return u.log(order).scale(escalar).exp(order).scale(lead)
+        lead = self.ctx.pow(self.constant_term, e)
+        return self._unit_power(_exponent_scalar(self.ctx, e), lead, order)
 
     def sqrt(self, order=None) -> "Series2":
         if not self.is_unit:
             raise NotAUnit("sqrt requires a unit series")
-        order = self._resolve_order(order)
-        c = self.constant_term
-        lead = self.ctx.sqrt(c)
-        u = self.scale(self.ctx.inv(c))
-        half = Fraction(1, 2)
-        return u.log(order).scale(_exponent_scalar(self.ctx, half)).exp(order).scale(lead)
+        lead = self.ctx.sqrt(self.constant_term)
+        return self._unit_power(_exponent_scalar(self.ctx, Fraction(1, 2)), lead, order)
+
+    def _unit_power(self, alpha, lead, order) -> "Series2":
+        """``lead * (self / c)**alpha`` for this unit with constant term ``c``."""
+        u = self.scale(self.ctx.inv(self.constant_term))
+        return u._graded(self._resolve_order(order), alpha + self.ctx.one, 1).scale(lead)
+
+    def _graded(self, order, a, b, log=False) -> "Series2":
+        """The series P solved degree by degree through ``order`` from the
+        parts U_k (k >= 1) of this pole-free series by the Euler recurrence
+        d*P_d = sum_{k=1..d} (a*k - b*d)*U_k*P_{d-k} [+ d*U_d if log], with
+        P_0 = 1 (0 if log).  For U_0 = 1, (a, b) = (1, 0) gives exp(U - 1),
+        (alpha + 1, 1) gives U**alpha and (1, 1) with log gives log(U)."""
+        ctx = self.ctx
+        parts = [[] for _ in range(order + 1)]
+        for (i, j), c in self.coeffs.items():
+            if 0 < i + j <= order:
+                parts[i + j].append((i, j, c))
+        solved = [[] if log else [(0, 0, ctx.one)]]
+        for d in range(1, order + 1):
+            acc = {(i, j): c for i, j, c in parts[d]} if log else {}
+            dinv = ctx.from_rational(Fraction(1, d))
+            for k in range(1, d + 1):
+                lower = solved[d - k]
+                w = (a * k - b * d) * dinv
+                if not parts[k] or not lower or not w:
+                    continue
+                for i1, j1, c1 in parts[k]:
+                    c1 = c1 * w
+                    for i2, j2, c2 in lower:
+                        key = (i1 + i2, j1 + j2)
+                        p = c1 * c2
+                        acc[key] = acc[key] + p if key in acc else p
+            solved.append([(i, j, c) for (i, j), c in acc.items() if c])
+        out = {(i, j): c for part in solved for i, j, c in part}
+        return Series2(ctx, out, order, self.names)
 
     # -- composition ----------------------------------------------------
 

@@ -19,6 +19,21 @@ def test_gaussian_rational_field_ops():
     assert a ** -2 == GaussianRational(1) / (a * a)
 
 
+def test_operators_on_real_complex_and_plain_operands():
+    r = GaussianRational(Fraction(2, 3))
+    z = GaussianRational(Fraction(1, 2), Fraction(-1, 4))
+    for x, y in ((r, r), (r, z), (z, r), (z, z), (r, 2), (z, Fraction(1, 3)), (3, z)):
+        gx, gy = GaussianRational._coerce(x), GaussianRational._coerce(y)
+        for got, want in (
+            (x + y, (gx.re + gy.re, gx.im + gy.im)),
+            (x - y, (gx.re - gy.re, gx.im - gy.im)),
+            (x * y, (gx.re * gy.re - gx.im * gy.im, gx.re * gy.im + gx.im * gy.re)),
+            (-gx, (-gx.re, -gx.im)),
+        ):
+            assert (got.re, got.im) == want
+            assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
 def test_gaussian_rational_rejects_floats():
     with pytest.raises(TypeError):
         GaussianRational(0.5)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 
 from . import errors as err
 from .closedness import first_kind_decompose, is_closed
@@ -25,7 +26,6 @@ from .differentials import (
     SymTwoDiff,
     classify_component,
     core_discriminant,
-    discriminant,
     rank,
     split,
 )
@@ -154,8 +154,9 @@ class Job:
     def __init__(self, doc: dict):
         if not isinstance(doc, dict):
             raise JobError("job document must be a JSON object")
+        # type(...) is int: JSON true/false arrive as bool, an int subclass
         self.truncation = doc.get("truncation", 16)
-        if not isinstance(self.truncation, int) or self.truncation < 4:
+        if type(self.truncation) is not int or self.truncation < 4:
             raise JobError("truncation must be an integer >= 4")
         backend = doc.get("backend", "exact")
         if backend not in ("exact", "approx"):
@@ -164,10 +165,12 @@ class Job:
         self.ctx = get_context(backend)
         self.w_doc = doc.get("w")
         self.components = doc.get("components", [])
+        if not isinstance(self.components, list):
+            raise JobError("components must be a list of polynomial expressions")
         self.base_shift_text = doc.get("base_shift")
         self.m_override = doc.get("m")
         if self.m_override is not None and (
-            not isinstance(self.m_override, int) or self.m_override < 0
+            type(self.m_override) is not int or self.m_override < 0
         ):
             raise JobError("m override must be a nonnegative integer")
         self.alpha_text = doc.get("alpha")
@@ -191,6 +194,7 @@ class Job:
             raise JobError(f"scalar {text!r} is not exact; use the approx backend")
         return lit.approx
 
+    @cached_property
     def differential(self) -> DifferentialInput:
         if not isinstance(self.w_doc, dict):
             raise JobError("job must carry a 'w' object")
@@ -198,8 +202,9 @@ class Job:
             {k: str(v) for k, v in self.w_doc.items()}
         )
 
+    @cached_property
     def sym_two_diff(self) -> SymTwoDiff:
-        a, b, c = self.differential().coefficient_triple(self.ctx, self.truncation)
+        a, b, c = self.differential.coefficient_triple(self.ctx, self.truncation)
         return SymTwoDiff(a, b, c)
 
     def component_series(self):
@@ -230,7 +235,7 @@ class Job:
 
 
 def _run_split(job: Job, results, warnings):
-    w = job.sym_two_diff()
+    w = job.sym_two_diff
     try:
         mu1, mu2 = split(w)
     except err.NotSplit as exc:
@@ -250,7 +255,7 @@ def _run_split(job: Job, results, warnings):
 
 
 def _run_closedness(job: Job, results, warnings):
-    w = job.sym_two_diff()
+    w = job.sym_two_diff
     rep = is_closed(w)
     results["closedness"] = {
         "verdict": rep.verdict,
@@ -267,7 +272,7 @@ def _run_closedness(job: Job, results, warnings):
 
 
 def _run_decompose(job: Job, results, warnings):
-    w = job.sym_two_diff()
+    w = job.sym_two_diff
     if not (w.a.is_zero() and w.c.is_zero()):
         raise JobError(
             "decompose expects the chart form g dz1 dz2 (a and c must vanish)"
@@ -290,7 +295,7 @@ def _run_decompose(job: Job, results, warnings):
 
 
 def _run_pipeline(job: Job, results, warnings, *, solve: bool):
-    di = job.differential()
+    di = job.differential
     if not di.is_product_form:
         raise JobError(
             "normal-form and theorem26 require the product form {scale, u, r}"
@@ -321,7 +326,7 @@ def _run_pipeline(job: Job, results, warnings, *, solve: bool):
 
 
 def _run_classify(job: Job, results, warnings):
-    w = job.sym_two_diff()
+    w = job.sym_two_diff
     comps = job.component_series()
     if not comps:
         raise JobError("classify requires a nonempty 'components' list")
@@ -361,23 +366,27 @@ def _run_monodromy(job: Job, results, warnings):
     return EXIT_OK
 
 
+def _error_body(exc) -> dict:
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
 def _analyze_stage(name, runner, job, results, warnings):
     """Run one analyze stage, mapping failures into the report."""
     try:
         return runner(job, results, warnings)
     except NEGATIVE_ERRORS as exc:
-        results[f"{name}_error"] = {"type": type(exc).__name__, "message": str(exc)}
+        results[f"{name}_error"] = _error_body(exc)
         return EXIT_NEGATIVE
     except PRECISION_ERRORS as exc:
-        results[f"{name}_error"] = {"type": type(exc).__name__, "message": str(exc)}
+        results[f"{name}_error"] = _error_body(exc)
         warnings.append(f"{name}: {exc}")
         return EXIT_PRECISION
 
 
 def _run_analyze(job: Job, results, warnings):
-    w = job.sym_two_diff()
+    w = job.sym_two_diff
     code = EXIT_OK
-    results["discriminant"] = _series_summary(discriminant(w))
+    results["discriminant"] = _series_summary(w.disc)
     try:
         results["rank"] = rank(w)
     except err.Inconclusive as exc:
@@ -387,7 +396,7 @@ def _run_analyze(job: Job, results, warnings):
     code = max(code, _analyze_stage("split", _run_split, job, results, warnings))
     if job.components:
         code = max(code, _analyze_stage("classify", _run_classify, job, results, warnings))
-    if job.differential().is_product_form:
+    if job.differential.is_product_form:
         code = max(
             code,
             _analyze_stage(
@@ -470,10 +479,10 @@ def run(argv, stdin_text: str | None = None):
         report["input"] = job.echo()
         code = _RUNNERS[args.command](job, report["results"], report["warnings"])
     except json.JSONDecodeError as exc:
-        report["error"] = {"type": "JSONDecodeError", "message": str(exc)}
+        report["error"] = _error_body(exc)
         code = EXIT_INPUT
     except NEGATIVE_ERRORS as exc:
-        body = {"type": type(exc).__name__, "message": str(exc)}
+        body = _error_body(exc)
         if isinstance(exc, err.NotSplit):
             body["witness"] = exc.witness
             body["odd_multiplicity"] = exc.multiplicity
@@ -481,10 +490,10 @@ def run(argv, stdin_text: str | None = None):
         report["error"] = body
         code = EXIT_NEGATIVE
     except PRECISION_ERRORS as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        report["error"] = _error_body(exc)
         code = EXIT_PRECISION
     except INPUT_ERRORS as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        report["error"] = _error_body(exc)
         code = EXIT_INPUT
     report["status"] = _STATUS[code]
     report["exit_code"] = code

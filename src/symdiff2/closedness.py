@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .differentials import OneForm, SymTwoDiff
+from .differentials import OneForm, SymTwoDiff, rank
 from .errors import Inconclusive, Mismatch, NotAUnit, NotSeparable
 from .series import INF, Series2
 
@@ -82,11 +82,9 @@ class ClosednessReport:
 
 def is_closed(w: SymTwoDiff) -> ClosednessReport:
     """Closedness verdict: numerator must vanish and the rank must be 2."""
-    from .differentials import rank as _rank
-
     numerator = brioschi_numerator(w)
     try:
-        r = _rank(w)
+        r = rank(w)
     except Inconclusive as exc:
         return ClosednessReport(numerator, "inconclusive", None, str(exc))
     if r < 2:

@@ -8,6 +8,10 @@ obstructed by odd discriminant multiplicity), pullbacks along coordinate
 maps and along monomial ramified covers of the first variable, and the
 parity/geometry classification of discriminant components.
 
+A :class:`SymTwoDiff` is immutable and holds its discriminant: ``w.disc`` is
+computed on first use and shared by every stage that reads it (rank,
+splitting, core discriminant, component classification).
+
 Component multiplicities are computed by exact division in the local series
 ring.  Irreducible components are supplied explicitly as polynomials (the
 coordinate axes in all the worked cases); no factorization is attempted.
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DivisionFailure,
@@ -68,7 +73,7 @@ class OneForm:
         return f"({self.A}) d{n1} + ({self.B}) d{n2}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymTwoDiff:
     """A symmetric 2-differential a dz1^2 + b dz1 dz2 + c dz2^2."""
 
@@ -84,6 +89,11 @@ class SymTwoDiff:
     @property
     def names(self):
         return self.a.names
+
+    @cached_property
+    def disc(self) -> Series2:
+        """The discriminant a c - b^2 / 4, computed once."""
+        return discriminant(self)
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero() and self.c.is_zero()
@@ -127,7 +137,7 @@ def rank(w: SymTwoDiff):
     """
     if w.is_zero():
         raise ValueError("rank of the zero differential is undefined")
-    d = discriminant(w)
+    d = w.disc
     if not d.is_zero():
         return 2
     if d.order is INF:
@@ -164,6 +174,15 @@ def _homog_div(R: dict, H: dict, ctx, qdeg_max: int):
     return Q
 
 
+def _bound(s: Series2, order):
+    """The degree through which a division or root of ``s`` is solved."""
+    if order is not None:
+        return order
+    if s.order is not INF:
+        return s.order
+    return max(DEFAULT_ORDER, max(i + j for (i, j) in s.coeffs))
+
+
 def try_divide(s: Series2, h: Series2, order=None):
     """Exact division s / h in the local ring, through the guaranteed order.
 
@@ -186,12 +205,7 @@ def try_divide(s: Series2, h: Series2, order=None):
             return None
         return s.div_monomial(i0, j0).scale(ctx.inv(c0))
     d = h.valuation
-    if order is not None:
-        bound = order
-    elif s.order is not INF:
-        bound = s.order
-    else:
-        bound = max(DEFAULT_ORDER, max(i + j for (i, j) in s.coeffs))
+    bound = _bound(s, order)
     H = {i: c for (i, j), c in h.coeffs.items() if i + j == d}
     rem = dict(s.coeffs)
     q = {}
@@ -276,12 +290,7 @@ def perfect_square_root(s: Series2, order=None):
     if v % 2:
         return None
     d = v // 2
-    if order is not None:
-        bound = order
-    elif s.order is not INF:
-        bound = s.order
-    else:
-        bound = max(DEFAULT_ORDER, max(i + j for (i, j) in s.coeffs))
+    bound = _bound(s, order)
     F = {i: c for (i, j), c in s.coeffs.items() if i + j == v}
     H = _homog_sqrt(F, ctx)
     if H is None or max(H) > d:
@@ -327,6 +336,14 @@ def multiplicity(s: Series2, h: Series2) -> int:
     raise Inconclusive("multiplicity loop exceeded sanity bound")
 
 
+def _disc_and_content(w: SymTwoDiff, h: Series2):
+    """(m, g): the multiplicity of h in the discriminant, and the content of w
+    along h (the least multiplicity across the nonzero a, b, c)."""
+    m = multiplicity(w.disc, h)
+    contents = [multiplicity(x, h) for x in (w.a, w.b, w.c) if not x.is_zero()]
+    return m, min(contents) if contents else 0
+
+
 def core_discriminant(w: SymTwoDiff, components):
     """Discriminant multiplicities and the core discriminant representative.
 
@@ -336,17 +353,12 @@ def core_discriminant(w: SymTwoDiff, components):
     least multiplicity across a, b, c) is subtracted twice from the
     discriminant to produce the core representative.
     """
-    disc = discriminant(w)
-    if disc.is_zero():
+    if w.disc.is_zero():
         raise Inconclusive("discriminant vanishes; core discriminant undefined")
     table = {}
-    core = disc
+    core = w.disc
     for label, h in components:
-        m = multiplicity(disc, h)
-        contents = [
-            multiplicity(x, h) for x in (w.a, w.b, w.c) if not x.is_zero()
-        ]
-        g = min(contents) if contents else 0
+        m, g = _disc_and_content(w, h)
         if g:
             for _ in range(2 * g):
                 nxt = try_divide(core, h)
@@ -423,7 +435,7 @@ def split(w: SymTwoDiff):
             core.a, core.b
         )
     else:
-        D = core.b * core.b - (core.a * core.c).scale(4)
+        D = core.disc.scale(-4)
         if D.is_zero():
             raise Inconclusive(
                 "b^2 - 4ac vanishes through the guaranteed order; "
@@ -543,13 +555,10 @@ class ComponentClass:
 
 
 def classify_component(w: SymTwoDiff, h: Series2, label: str = "h") -> ComponentClass:
-    disc = discriminant(w)
-    m = multiplicity(disc, h)
+    m, g = _disc_and_content(w, h)
     if m == 0:
         raise DivisionFailure(f"component {label} does not divide the discriminant")
     parity = "N" if m % 2 else "S"
-    contents = [multiplicity(x, h) for x in (w.a, w.b, w.c) if not x.is_zero()]
-    g = min(contents) if contents else 0
     mult_core = m - 2 * g
     reduced = w
     if g:

@@ -41,7 +41,7 @@ from .errors import (
     NotAUnit,
 )
 from .scalars import GaussianRational, ScalarContext
-from .series import INF, Series2, _as_int
+from .series import INF, Series2, _as_int, _exponent_scalar
 
 # -- AST ---------------------------------------------------------------
 
@@ -495,7 +495,7 @@ class UnitConstant:
                 self.exp_arg * ctx.from_int(n),
                 tuple((b, x * ctx.from_int(n)) for b, x in self.pows),
             )
-        es = _coerce_exponent(ctx, e)
+        es = _exponent_scalar(ctx, e)
         try:
             rat = ctx.pow(self.rational, e)
             pows = tuple((b, x * es) for b, x in self.pows)
@@ -515,12 +515,6 @@ class UnitConstant:
 
     def __repr__(self):
         return f"UnitConstant(rational={self.rational}, exp_arg={self.exp_arg}, pows={self.pows})"
-
-
-def _coerce_exponent(ctx, e):
-    if isinstance(e, (int, Fraction)):
-        return ctx.from_rational(e)
-    return ctx.coerce(e)
 
 
 # -- evaluation -------------------------------------------------------------
@@ -610,7 +604,7 @@ def _evn(node, ctx, order):
         u = s.scale(ctx.inv(beta))
         series = u.pow_scalar(e, order)
         const = c.pow(ctx, e).mul(
-            ctx, UnitConstant(ctx, pows=((beta, _coerce_exponent(ctx, e)),))
+            ctx, UnitConstant(ctx, pows=((beta, _exponent_scalar(ctx, e)),))
         )
         return series, const
     if isinstance(node, Call):

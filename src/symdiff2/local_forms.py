@@ -213,6 +213,17 @@ def leaf_chart(h: Series2, r: Series2, base_shift=0) -> NormalFormData:
 # -- the singular decomposition solver ------------------------------------
 
 
+def _factor_terms(ctx, f: Series1, g: Series1, m: int, order, names):
+    """(1 + z1^m z2, f(z1), g(p)) with p = z1 (1 + z1^m z2), as bivariate series."""
+    one = Series2.const(ctx, ctx.one, INF, names)
+    unit_factor = one + Series2.monomial(ctx, m, 0, names=names) * Series2.variable(
+        ctx, 1, INF, names
+    )
+    p = Series2.variable(ctx, 0, INF, names) * unit_factor
+    f_z = Series2(ctx, {(i, 0): c for i, c in f.coeffs.items()}, f.order, names)
+    return unit_factor, f_z, substitute_series1(g, p, order)
+
+
 def solve_singular_decomposition(v: Series2, m: int) -> SingularDecomposition:
     """Recover (k, alpha, f, g) from the conformal factor in normal form.
 
@@ -261,14 +272,8 @@ def solve_singular_decomposition(v: Series2, m: int) -> SingularDecomposition:
             "recovered pole order exceeds the contact order; input is not in "
             "normal form at this truncation"
         )
-    one = Series2.const(ctx, ctx.one, INF, names)
-    unit_factor = one + Series2.monomial(ctx, m, 0, names=names) * Series2.variable(
-        ctx, 1, INF, names
-    )
-    p = Series2.variable(ctx, 0, INF, names) * unit_factor
+    unit_factor, f_z, g_p = _factor_terms(ctx, f, g, m, N, names)
     alog = unit_factor.log(N).scale(alpha)
-    f_z = Series2(ctx, {(i, 0): c for i, c in f.coeffs.items()}, f.order, names)
-    g_p = substitute_series1(g, p, N)
     residual = L - alog - f_z - g_p
     return SingularDecomposition(k=k, alpha=alpha, f=f, g=g, residual=residual, m=m)
 
@@ -282,13 +287,7 @@ def compose_singular_decomposition(
     The pole parts of f and g must cancel (g_i = -f_i for i < 0), otherwise
     the product has no holomorphic meaning and a ValuationError is raised.
     """
-    one = Series2.const(ctx, ctx.one, INF, names)
-    unit_factor = one + Series2.monomial(ctx, m, 0, names=names) * Series2.variable(
-        ctx, 1, INF, names
-    )
-    p = Series2.variable(ctx, 0, INF, names) * unit_factor
-    f_z = Series2(ctx, {(i, 0): c for i, c in f.coeffs.items()}, f.order, names)
-    g_p = substitute_series1(g, p, order)
+    unit_factor, f_z, g_p = _factor_terms(ctx, f, g, m, order, names)
     expo = (f_z + g_p).truncated(order)
     if expo.pole:
         raise ValuationError(

@@ -827,18 +827,6 @@ def reverse_map(phi: CoordMap, order=None) -> CoordMap:
 
 # -- functional aliases matching the operation vocabulary ------------------
 
-def mul(a: Series2, b: Series2) -> Series2:
-    return a * b
-
-
-def invert_unit(u: Series2, order=None) -> Series2:
-    return u.invert_unit(order)
-
-
-def derive(s, axis):
-    return s.derive(axis) if isinstance(s, Series2) else s.derive()
-
-
 def ord_along_axis(s: Series2, axis) -> int:
     return s.ord_along_axis(axis)
 

@@ -172,6 +172,22 @@ def test_exit_codes_for_input_errors():
         assert "error" in rep, label
 
 
+def test_json_booleans_and_strings_are_not_integers_or_lists():
+    # bool is an int subclass, and a string iterates one character at a time
+    bad = [
+        ("theorem26", {**ESSENTIAL, "m": True}, "m override"),
+        ("theorem26", {**ESSENTIAL, "m": False}, "m override"),
+        ("split", {**NON_SPLIT, "truncation": True}, "truncation"),
+        ("classify", {**NON_SPLIT, "components": "z1"}, "components"),
+    ]
+    for cmd, job, field in bad:
+        code, rep = invoke(cmd, job)
+        assert code == EXIT_INPUT, field
+        assert rep["error"]["type"] == "JobError", field
+        assert rep["error"]["message"].startswith(field), field
+        assert "results" not in rep or not rep["results"], field
+
+
 def test_remaining_error_conditions_reach_the_cli():
     cases = [
         ("theorem26", {"truncation": 10, "backend": "exact",

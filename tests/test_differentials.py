@@ -375,3 +375,44 @@ def test_classify_requires_dividing_component(exact_ctx):
     w = SymTwoDiff(one, z1 * z2, zero)
     with pytest.raises(DivisionFailure):
         classify_component(w, z1 + z2, "z1+z2")
+
+
+@pytest.mark.parametrize(
+    "abc, labels",
+    [
+        # no content: z1 is a common leaf, z2 a tangency
+        (("exp(z2)", "z1*z2*exp(z1)", "0"), ("z1", "z2")),
+        # content 1 along z1, divided out of the core and before the split
+        (("z1*exp(z2)", "z1*z2*exp(z1)", "z1*(1+z2)"), ("z1",)),
+    ],
+)
+def test_component_layer_refines_with_truncation(abc, labels):
+    # guaranteed-order contract: raising N leaves every answer and every
+    # coefficient through the lower run's order unchanged
+    from symdiff2 import EXACT
+    from symdiff2.expressions import eval_text
+
+    def run_at(N):
+        w = SymTwoDiff(*(eval_text(t, N, EXACT) for t in abc))
+        comps = [(lbl, eval_text(lbl, N, EXACT)) for lbl in labels]
+        core, table = core_discriminant(w, comps)
+        classes = [classify_component(w, h, lbl) for lbl, h in comps]
+        return core, table, classes
+
+    core, table, classes = run_at(10)
+    core4, table4, classes4 = run_at(14)
+    assert table == table4
+    assert classes == classes4
+    assert core.order < core4.order
+    assert core.eq_through(core4)
+
+
+def test_sym_two_diff_is_frozen_and_holds_its_discriminant(exact_ctx):
+    from dataclasses import FrozenInstanceError
+
+    z1, z2, one, zero = gens(exact_ctx)
+    w = SymTwoDiff(one, z1 * z2, z2)
+    assert w.disc is w.disc
+    assert w.disc.eq_through(discriminant(w))
+    with pytest.raises(FrozenInstanceError):
+        w.a = z1

@@ -84,7 +84,6 @@ from .series import (
     CoordMap,
     Series1,
     Series2,
-    ord_along_axis,
     reverse_map,
     substitute_series1,
     transcendental,

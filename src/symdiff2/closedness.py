@@ -4,10 +4,13 @@ The complexified Gaussian curvature of ``E dz1^2 + 2F dz1 dz2 + G dz2^2``
 vanishes exactly when the differential is (locally) a product of closed
 1-forms.  To avoid series division by the discriminant the test works with
 the numerator alone: the difference of the two classical 3x3 determinants
-built from E, F, G and their first and second derivatives.  On a rank-2
-differential the numerator vanishing through the guaranteed order is the
-closedness verdict; on rank-1 input the equivalence does not apply and the
-report says so instead of guessing.
+built from E, F, G and their first and second derivatives.  Both share the
+minor E G - F^2, which is the discriminant the differential already holds,
+so the numerator is expanded around ``w.disc`` (Brioschi's formula) instead
+of computing that minor again.  On a rank-2 differential the numerator
+vanishing through the guaranteed order is the closedness verdict; on rank-1
+input the equivalence does not apply and the report says so instead of
+guessing.
 
 The chart-form decomposition g(z1, z2) = f(z1) h(z2) and the uniqueness
 comparison of two closed decompositions (equal up to a constant pair
@@ -24,14 +27,6 @@ from .errors import Inconclusive, Mismatch, NotAUnit, NotSeparable
 from .series import INF, Series2
 
 
-def _det3(m) -> Series2:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def brioschi_numerator(w: SymTwoDiff) -> Series2:
     """Difference of the two curvature determinants, complexified.
 
@@ -45,31 +40,30 @@ def brioschi_numerator(w: SymTwoDiff) -> Series2:
              | E_v/2   E       F     |
              | G_u/2   F       G     |
 
-    and the numerator is det M1 - det M2.
+    and the numerator is det M1 - det M2.  Both determinants share the
+    lower-right minor E G - F^2, the discriminant ``w.disc``; expanding
+    each along its first row with M1 = [[A, B, C], [D, E, F], [H, F, G]]
+    and P = E_v/2, Q = G_u/2 gives
+
+        A disc + G (P^2 - B D) + F (B H + C D - 2 P Q) + E (Q^2 - C H).
     """
-    ctx = w.ctx
-    half = ctx.from_rational(Fraction(1, 2))
+    half = w.ctx.from_rational(Fraction(1, 2))
     E = w.a
     F = w.b.scale(half)
     G = w.c
     Eu, Ev = E.derive(0), E.derive(1)
     Fu, Fv = F.derive(0), F.derive(1)
     Gu, Gv = G.derive(0), G.derive(1)
-    Evv = Ev.derive(1)
-    Guu = Gu.derive(0)
-    Fuv = Fu.derive(1)
-    m1 = [
-        [Fuv - Evv.scale(half) - Guu.scale(half), Eu.scale(half), Fu - Ev.scale(half)],
-        [Fv - Gu.scale(half), E, F],
-        [Gv.scale(half), F, G],
-    ]
-    zero = Series2.zero(ctx, INF, w.names)
-    m2 = [
-        [zero, Ev.scale(half), Gu.scale(half)],
-        [Ev.scale(half), E, F],
-        [Gu.scale(half), F, G],
-    ]
-    return _det3(m1) - _det3(m2)
+    P, Q = Ev.scale(half), Gu.scale(half)
+    A = Fu.derive(1) - Ev.derive(1).scale(half) - Gu.derive(0).scale(half)
+    B, C = Eu.scale(half), Fu - P
+    D, H = Fv - Q, Gv.scale(half)
+    return (
+        A * w.disc
+        + G * (P * P - B * D)
+        + F * (B * H + C * D - (P * Q).scale(2))
+        + E * (Q * Q - C * H)
+    )
 
 
 @dataclass

@@ -105,9 +105,6 @@ class SymTwoDiff:
             and self.c.eq_through(other.c)
         )
 
-    def scale_series(self, s: Series2) -> "SymTwoDiff":
-        return SymTwoDiff(self.a * s, self.b * s, self.c * s)
-
     def __str__(self):
         n1, n2 = self.names
         return f"({self.a}) d{n1}^2 + ({self.b}) d{n1}d{n2} + ({self.c}) d{n2}^2"
@@ -417,25 +414,16 @@ def split(w: SymTwoDiff):
     ctx = w.ctx
     names = w.names
     g1, g2 = _axis_content(w)
-    if g1 or g2:
-        core = SymTwoDiff(
-            w.a.div_monomial(g1, g2),
-            w.b.div_monomial(g1, g2),
-            w.c.div_monomial(g1, g2),
-        )
-    else:
-        core = w
+    a, b, c = (s.div_monomial(g1, g2) for s in (w.a, w.b, w.c))
     one = Series2.const(ctx, ctx.one, INF, names)
-    if core.a.is_zero():
-        mu1, mu2 = OneForm(Series2.zero(ctx, core.a.order, names), one), OneForm(
-            core.b, core.c
-        )
-    elif core.c.is_zero():
-        mu1, mu2 = OneForm(one, Series2.zero(ctx, core.c.order, names)), OneForm(
-            core.a, core.b
-        )
+    if a.is_zero():
+        mu1, mu2 = OneForm(Series2.zero(ctx, a.order, names), one), OneForm(b, c)
+    elif c.is_zero():
+        mu1, mu2 = OneForm(one, Series2.zero(ctx, c.order, names)), OneForm(a, b)
     else:
-        D = core.disc.scale(-4)
+        # dividing by a monomial shifts coefficients and order alike, so this
+        # is the discriminant of the axis-stripped a, b, c
+        D = w.disc.div_monomial(2 * g1, 2 * g2).scale(-4)
         if D.is_zero():
             raise Inconclusive(
                 "b^2 - 4ac vanishes through the guaranteed order; "
@@ -463,21 +451,21 @@ def split(w: SymTwoDiff):
                 )
         delta = root * Series2.monomial(ctx, k1 // 2, k2 // 2, names=names)
         half = ctx.from_rational(Fraction(1, 2))
-        if core.a.is_unit:
-            inv2a = core.a.scale(2).invert_unit()
-            mu1 = OneForm(core.a, (core.b - delta).scale(half))
-            mu2 = OneForm(one, (core.b + delta) * inv2a)
-        elif core.c.is_unit:
-            inv2c = core.c.scale(2).invert_unit()
-            mu1 = OneForm((core.b - delta).scale(half), core.c)
-            mu2 = OneForm((core.b + delta) * inv2c, one)
+        if a.is_unit:
+            inv2a = a.scale(2).invert_unit()
+            mu1 = OneForm(a, (b - delta).scale(half))
+            mu2 = OneForm(one, (b + delta) * inv2a)
+        elif c.is_unit:
+            inv2c = c.scale(2).invert_unit()
+            mu1 = OneForm((b - delta).scale(half), c)
+            mu2 = OneForm((b + delta) * inv2c, one)
         else:
             for signed in (delta, -delta):
-                cand = core.b + signed
+                cand = b + signed
                 if cand.is_unit:
                     invc = cand.invert_unit()
-                    mu1 = OneForm(cand.scale(half), core.c)
-                    mu2 = OneForm(core.a.scale(2) * invc, one)
+                    mu1 = OneForm(cand.scale(half), c)
+                    mu2 = OneForm(a.scale(2) * invc, one)
                     break
             else:
                 raise Inconclusive(

@@ -538,8 +538,7 @@ def _series_div(num: Series2, den: Series2, order) -> Series2:
 
 def eval_normalized(node, ctx: ScalarContext, order: int):
     """Evaluate to ``(series, unit constant)`` with the constant factored out."""
-    s, c = _evn(node, ctx, order)
-    return s, c
+    return _evn(node, ctx, order)
 
 
 def _lit_value(ctx, lit: ScalarLit):

@@ -220,8 +220,7 @@ def _factor_terms(ctx, f: Series1, g: Series1, m: int, order, names):
         ctx, 1, INF, names
     )
     p = Series2.variable(ctx, 0, INF, names) * unit_factor
-    f_z = Series2(ctx, {(i, 0): c for i, c in f.coeffs.items()}, f.order, names)
-    return unit_factor, f_z, substitute_series1(g, p, order)
+    return unit_factor, f.to_series2(0, names), substitute_series1(g, p, order)
 
 
 def solve_singular_decomposition(v: Series2, m: int) -> SingularDecomposition:

@@ -333,6 +333,17 @@ class ApproxContext(ScalarContext):
         self.zero = 0j
         self.one = 1 + 0j
 
+    # the tolerance decides which coefficients a series keeps, so series
+    # under different tolerances must not combine
+    def __eq__(self, other):
+        return isinstance(other, ApproxContext) and self.tol == other.tol
+
+    def __hash__(self):
+        return hash((self.name, self.tol))
+
+    def __repr__(self):
+        return f"<approx scalar context, tol {self.tol:g}>"
+
     def from_rational(self, re, im=0):
         return complex(float(re), float(im))
 
@@ -382,10 +393,11 @@ EXACT = ExactContext()
 APPROX = ApproxContext()
 
 
-def get_context(name: str, tol: float | None = None) -> ScalarContext:
-    """Resolve a backend name ('exact' | 'approx') to a context instance."""
+def get_context(name: str) -> ScalarContext:
+    """Resolve a backend name ('exact' | 'approx') to a context instance;
+    ``ApproxContext(tol)`` makes an approx context with another tolerance."""
     if name == "exact":
         return EXACT
     if name == "approx":
-        return APPROX if tol is None or tol == DEFAULT_TOLERANCE else ApproxContext(tol)
+        return APPROX
     raise ValueError(f"unknown backend {name!r}")

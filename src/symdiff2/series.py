@@ -115,9 +115,6 @@ class Series2:
         """True when every known coefficient vanishes (zero through order)."""
         return not self.coeffs
 
-    def is_exactly_zero(self) -> bool:
-        return not self.coeffs and self.order is INF
-
     @property
     def pole(self) -> int:
         neg = [i for (i, _) in self.coeffs if i < 0]
@@ -147,7 +144,7 @@ class Series2:
     def _check_compat(self, other: "Series2"):
         if self.ctx != other.ctx:
             raise BackendMismatch(
-                f"backend mismatch: {self.ctx.name} vs {other.ctx.name}"
+                f"backend mismatch: {self.ctx!r} vs {other.ctx!r}"
             )
         if self.names != other.names:
             raise BackendMismatch(
@@ -309,12 +306,6 @@ class Series2:
         return Series2(self.ctx, out, order, self.names)
 
     # -- slices -------------------------------------------------------
-
-    def row(self, i: int) -> "Series1":
-        """Coefficient of z1^i as a series in z2."""
-        coeffs = {j: c for (ii, j), c in self.coeffs.items() if ii == i}
-        order = self.order if self.order is INF else self.order - i
-        return Series1(self.ctx, coeffs, order, self.names[1])
 
     def slice_z2_zero(self) -> "Series1":
         """The restriction s(z1, 0)."""
@@ -577,10 +568,6 @@ class Series1:
         return cls(ctx, {0: ctx.coerce(value)}, order, var)
 
     @classmethod
-    def variable(cls, ctx, order=INF, var="z1"):
-        return cls(ctx, {1: ctx.one}, order, var)
-
-    @classmethod
     def from_terms(cls, ctx, terms: dict, order=INF, var="z1"):
         return cls(ctx, {i: ctx.coerce(v) for i, v in terms.items()}, order, var)
 
@@ -591,9 +578,6 @@ class Series1:
     def pole(self) -> int:
         neg = [i for i in self.coeffs if i < 0]
         return -min(neg) if neg else 0
-
-    def pole_part(self) -> dict:
-        return {i: c for i, c in self.coeffs.items() if i < 0}
 
     def has_pole(self) -> bool:
         return any(i < 0 for i in self.coeffs)
@@ -693,15 +677,8 @@ class Series1:
             return substitute_series1(self, inner, order)
         if not isinstance(inner, Series1):
             raise TypeError("inner must be Series1 or Series2")
-        names = (inner.var, "_aux")
-        lifted = Series2(
-            self.ctx, {(i, 0): c for i, c in self.coeffs.items()}, self.order, names
-        )
-        lifted_inner = Series2(
-            self.ctx, {(i, 0): c for i, c in inner.coeffs.items()}, inner.order, names
-        )
-        aux = Series2.zero(self.ctx, INF, names)
-        return lifted.substitute(lifted_inner, aux, order).slice_z2_zero()
+        lifted_inner = inner.to_series2(0, (inner.var, "_aux"))
+        return substitute_series1(self, lifted_inner, order).slice_z2_zero()
 
     def __str__(self):
         if not self.coeffs:
@@ -721,8 +698,7 @@ class Series1:
 
 def substitute_series1(f: Series1, p: Series2, order=None) -> Series2:
     """Evaluate a one-variable (possibly Laurent) series at a Series2 point."""
-    lifted = Series2(p.ctx, {(i, 0): c for i, c in f.coeffs.items()}, f.order, p.names)
-    return lifted.substitute(p, Series2.zero(p.ctx, INF, p.names), order)
+    return f.to_series2(0, p.names).substitute(p, Series2.zero(p.ctx, INF, p.names), order)
 
 
 class CoordMap:
@@ -773,9 +749,6 @@ class CoordMap:
             self.comp2.substitute(inner.comp1, inner.comp2),
         )
 
-    def apply(self, s: Series2, order=None) -> Series2:
-        return s.substitute(self.comp1, self.comp2, order)
-
     def reverse(self, order=None) -> "CoordMap":
         return reverse_map(self, order)
 
@@ -825,11 +798,7 @@ def reverse_map(phi: CoordMap, order=None) -> CoordMap:
     return CoordMap(psi1, psi2)
 
 
-# -- functional aliases matching the operation vocabulary ------------------
-
-def ord_along_axis(s: Series2, axis) -> int:
-    return s.ord_along_axis(axis)
-
+# -- functional alias matching the operation vocabulary --------------------
 
 def transcendental(s: Series2, op: str, exponent=None, order=None) -> Series2:
     if op == "exp":

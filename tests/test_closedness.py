@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from symdiff2 import Mismatch, NotAUnit, NotSeparable, Series2
+from symdiff2 import APPROX, EXACT, Mismatch, NotAUnit, NotSeparable, Series2
 from symdiff2.closedness import (
     brioschi_numerator,
     compare_decompositions,
@@ -63,6 +63,79 @@ def test_numerator_vanishes_on_products_of_exact_forms(ctx):
         G = rand_poly2(ctx, rnd, small=small).truncated(8)
         w = product(exact_form(F), exact_form(G))
         assert brioschi_numerator(w).is_zero()
+
+
+def _det3(m) -> Series2:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def ref_brioschi_numerator(w: SymTwoDiff) -> Series2:
+    """The definition, det M1 - det M2, with both determinants written out."""
+    half = w.ctx.from_rational(Fraction(1, 2))
+    E, F, G = w.a, w.b.scale(half), w.c
+    Eu, Ev = E.derive(0), E.derive(1)
+    Fu, Fv = F.derive(0), F.derive(1)
+    Gu, Gv = G.derive(0), G.derive(1)
+    m1 = [
+        [Fu.derive(1) - Ev.derive(1).scale(half) - Gu.derive(0).scale(half),
+         Eu.scale(half), Fu - Ev.scale(half)],
+        [Fv - Gu.scale(half), E, F],
+        [Gv.scale(half), F, G],
+    ]
+    zero = Series2.zero(w.ctx, names=w.names)
+    m2 = [
+        [zero, Ev.scale(half), Gu.scale(half)],
+        [Ev.scale(half), E, F],
+        [Gu.scale(half), F, G],
+    ]
+    return _det3(m1) - _det3(m2)
+
+
+def rand_differential(ctx, rnd, N, shape):
+    """A random a, b, c: exact polynomials, or polynomials over a random unit
+    (guaranteed through N - 1, N or N + 1), optionally times z1 or 1/z1."""
+    parts = []
+    for _ in range(3):
+        if shape == "polynomial":
+            s = rand_poly2(ctx, rnd)
+        else:
+            # integer coefficients keep the dense exact series cheap
+            s = rand_poly2(ctx, rnd, small=1)
+            s = s * rand_unit2(ctx, rnd, small=1).invert_unit(N + rnd.randint(-1, 1))
+        if shape == "laurent":
+            s = s * Series2.monomial(ctx, rnd.choice((-1, 1)), 0)
+        parts.append(s)
+    return SymTwoDiff(*parts)
+
+
+SHAPES = ("polynomial", "truncated", "laurent")
+
+
+@pytest.mark.parametrize("N", (8, 12))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_numerator_matches_determinant_definition(N, shape):
+    rnd = random.Random(f"brioschi:{N}:{shape}")
+    for _ in range(6):
+        w = rand_differential(EXACT, rnd, N, shape)
+        num, ref = brioschi_numerator(w), ref_brioschi_numerator(w)
+        assert num.coeffs == ref.coeffs
+        assert num.order == ref.order
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_numerator_matches_determinant_definition_approx(shape):
+    rnd = random.Random(f"brioschi-approx:{shape}")
+    for _ in range(20):
+        w = rand_differential(APPROX, rnd, 8, shape)
+        num, ref = brioschi_numerator(w), ref_brioschi_numerator(w)
+        assert num.order == ref.order
+        for k in set(num.coeffs) | set(ref.coeffs):
+            got, want = num.coefficient(*k), ref.coefficient(*k)
+            assert abs(got - want) <= 1e-12 * abs(want), (k, got, want)
 
 
 # -- verdicts ------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from symdiff2 import APPROX, EXACT, ExactValueError
+from symdiff2 import APPROX, EXACT, BackendMismatch, ExactValueError, Series2
 from symdiff2.scalars import ApproxContext, GaussianRational, format_complex, format_exact
 
 
@@ -108,3 +108,19 @@ def test_backends_agree_on_field_ops():
         assert APPROX.eq(complex(a * b), za * zb)
         assert APPROX.eq(complex(a + b), za + zb)
         assert APPROX.eq(complex(a / b), za / zb)
+
+
+def test_approx_contexts_differ_by_tolerance():
+    custom = ApproxContext(1e-3)
+    assert custom != APPROX and APPROX != custom
+    assert ApproxContext(1e-9) == APPROX
+    assert hash(ApproxContext(1e-9)) == hash(APPROX)
+    assert custom != EXACT and EXACT != custom
+    # mixed, x + y would keep the 1e-4 term and y + x drop it
+    x = Series2.const(APPROX, 1e-4)
+    y = Series2.zero(custom)
+    for left, right in ((x, y), (y, x)):
+        with pytest.raises(BackendMismatch, match="tol 0.001"):
+            left + right
+        with pytest.raises(BackendMismatch):
+            left * right

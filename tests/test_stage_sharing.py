@@ -76,3 +76,30 @@ def test_analyze_evaluates_once(name, monkeypatch):
     assert len(triples) == 1
     assert discs
     assert len({id(w) for w in discs}) == len(discs)
+
+
+# closedness expands its numerator around w.disc, and split strips axis
+# content from w.disc instead of building the stripped differential's own
+SINGLE_STAGE = {
+    "closedness": {"truncation": 10, "backend": "exact",
+                   "w": {"a": "exp(z2)", "b": "z1*z2*exp(z1)", "c": "1+z1^2"}},
+    "split": {"truncation": 12, "backend": "exact",
+              "w": {"a": "z1^2*exp(z2)", "b": "z1^2*z2", "c": "-z1^2*(1+z1)"}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SINGLE_STAGE))
+def test_stage_reads_the_job_discriminant(command, monkeypatch):
+    discs = []
+    discriminant = differentials.discriminant
+
+    def counted_discriminant(w):
+        discs.append(w)
+        return discriminant(w)
+
+    monkeypatch.setattr(differentials, "discriminant", counted_discriminant)
+    _, report = invoke(command, SINGLE_STAGE[command])
+    assert command in report["results"]
+    assert len(discs) == 1
+    # the call is on the job's own differential, axis content included
+    assert discs[0].a.ord_along_axis(0) == (2 if command == "split" else 0)

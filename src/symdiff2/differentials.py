@@ -10,11 +10,14 @@ parity/geometry classification of discriminant components.
 
 A :class:`SymTwoDiff` is immutable and holds its discriminant: ``w.disc`` is
 computed on first use and shared by every stage that reads it (rank,
-splitting, core discriminant, component classification).
+splitting, core discriminant, component classification), as are the
+multiplicities measured along each component series.
 
 Component multiplicities are computed by exact division in the local series
-ring.  Irreducible components are supplied explicitly as polynomials (the
-coordinate axes in all the worked cases); no factorization is attempted.
+ring.  Division and the square root behind splitting share one graded solve,
+with one exact homogeneous division per degree.  Irreducible components are
+supplied explicitly as polynomials (the coordinate axes in all the worked
+cases); no factorization is attempted.
 """
 
 from __future__ import annotations
@@ -95,6 +98,11 @@ class SymTwoDiff:
         """The discriminant a c - b^2 / 4, computed once."""
         return discriminant(self)
 
+    @cached_property
+    def _content(self) -> dict:
+        """Component series h -> (m, g), filled by ``_disc_and_content``."""
+        return {}
+
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero() and self.c.is_zero()
 
@@ -171,10 +179,47 @@ def _homog_div(R: dict, H: dict, ctx, qdeg_max: int):
     return Q
 
 
+def _forms(s: Series2, lo: int, hi: int) -> list:
+    """The homogeneous parts of ``s`` of degrees lo..hi, in x-encoding."""
+    parts = [{} for _ in range(lo, hi + 1)]
+    for (i, j), c in s.coeffs.items():
+        if lo <= i + j <= hi:
+            parts[i + j - lo][i] = c
+    return parts
+
+
+def _graded_solve(s: Series2, target, lead, solved, qdeg, cross=None):
+    """Extend ``solved`` (forms q_e of degree qdeg + e, x-encoded) so that
+    target_e = lead * q_e + sum_{k>=1} cross_k * q_{e-k} at every degree e of
+    ``target``, by one exact homogeneous division per degree (Brent & Kung,
+    J. ACM 25, 1978).  ``cross`` is the divisor's parts for a quotient and q
+    itself by default, for a square root with lead 2 q_0.  Returns q as a
+    series of order INF, or None when a division fails."""
+    ctx = s.ctx
+    q = list(solved)
+    cross = q if cross is None else cross
+    for e in range(len(q), len(target)):
+        acc = dict(target[e])
+        for k in range(min(e, len(cross) - 1), 0, -1):
+            for x2, c2 in q[e - k].items():
+                for x1, c1 in cross[k].items():
+                    nv = acc.get(x1 + x2, ctx.zero) - c2 * c1
+                    if ctx.is_zero(nv):
+                        acc.pop(x1 + x2, None)
+                    else:
+                        acc[x1 + x2] = nv
+        qe = _homog_div(acc, lead, ctx, qdeg + e)
+        if qe is None:
+            return None
+        q.append(qe)
+    terms = {(x, qdeg + e - x): c for e, form in enumerate(q) for x, c in form.items()}
+    return Series2(ctx, terms, INF, s.names)
+
+
 def _bound(s: Series2, order):
-    """The degree through which a division or root of ``s`` is solved."""
+    """The degree through which s / h or sqrt(s) is solved; never past s.order."""
     if order is not None:
-        return order
+        return order if s.order is INF else min(order, s.order)
     if s.order is not INF:
         return s.order
     return max(DEFAULT_ORDER, max(i + j for (i, j) in s.coeffs))
@@ -203,49 +248,27 @@ def try_divide(s: Series2, h: Series2, order=None):
         return s.div_monomial(i0, j0).scale(ctx.inv(c0))
     d = h.valuation
     bound = _bound(s, order)
-    H = {i: c for (i, j), c in h.coeffs.items() if i + j == d}
-    rem = dict(s.coeffs)
-    q = {}
-    vmin = min(i + j for (i, j) in rem)
-    for v in range(vmin, bound + 1):
-        Rv = {
-            i: c
-            for (i, j), c in rem.items()
-            if i + j == v and not ctx.is_zero(c)
-        }
-        if not Rv:
-            continue
-        Qv = _homog_div(Rv, H, ctx, v - d)
-        if Qv is None:
-            return None
-        for qe, qc in Qv.items():
-            qj = v - d - qe
-            q[(qe, qj)] = qc
-            for (hi, hj), hc in h.coeffs.items():
-                k = (qe + hi, qj + hj)
-                nv = rem.get(k, ctx.zero) - qc * hc
-                if ctx.is_zero(nv):
-                    rem.pop(k, None)
-                else:
-                    rem[k] = nv
-    if s.order is INF:
-        candidate = Series2(ctx, q, INF, s.names)
-        if (candidate * h).eq_through(s) and not rem:
-            return candidate
-    return Series2(ctx, q, bound - d, s.names)
+    if s.valuation < min(d, bound + 1):  # a term below h's lowest degree
+        return None
+    hparts = _forms(h, d, max(d, bound))
+    q = _graded_solve(s, _forms(s, d, bound), hparts[0], [], 0, hparts)
+    if q is None or s.order is INF and (q * h).eq_through(s):
+        return q
+    return q.truncated(bound - d)
 
 
 def _homog_sqrt(F: dict, ctx):
-    """Square root of a homogeneous slice in x-encoding, or None.
+    """Square root of a homogeneous slice in x-encoding, or None for an odd top
+    x-exponent.  Only the upper half is matched; the caller checks the square.
 
     May raise ExactValueError when the leading coefficient has no square
     root in the exact scalar domain.
     """
     top = max(F)
-    lead = ctx.sqrt(F[top])
-    m = top // 2 if top % 2 == 0 else None
-    if m is None:
+    if top % 2:
         return None
+    m = top // 2
+    lead = ctx.sqrt(F[top])
     p = {m: lead}
     inv2lead = ctx.inv(lead * ctx.from_int(2))
     for s in range(top - 1, m - 1, -1):
@@ -260,15 +283,6 @@ def _homog_sqrt(F: dict, ctx):
         coeff = acc * inv2lead
         if not ctx.is_zero(coeff):
             p[e] = coeff
-    # verify the full square, including the low-degree tail
-    square = {}
-    for j, cj in p.items():
-        for k, ck in p.items():
-            square[j + k] = square.get(j + k, ctx.zero) + cj * ck
-    keys = set(F) | set(square)
-    for key in keys:
-        if not ctx.eq(F.get(key, ctx.zero), square.get(key, ctx.zero)):
-            return None
     return p
 
 
@@ -288,29 +302,17 @@ def perfect_square_root(s: Series2, order=None):
         return None
     d = v // 2
     bound = _bound(s, order)
-    F = {i: c for (i, j), c in s.coeffs.items() if i + j == v}
-    H = _homog_sqrt(F, ctx)
-    if H is None or max(H) > d:
+    target = _forms(s, v, max(v, bound))
+    root = _homog_sqrt(target[0], ctx)
+    if root is None:
         return None
-    twoH = {e: c * ctx.from_int(2) for e, c in H.items()}
-    delta = Series2(ctx, {(e, d - e): c for e, c in H.items()}, bound - d, s.names)
-    for t in range(v + 1, bound + 1):
-        rem = s - delta * delta
-        Rt = {
-            i: c for (i, j), c in rem.coeffs.items()
-            if i + j == t and not ctx.is_zero(c)
-        }
-        if not Rt:
-            continue
-        Q = _homog_div(Rt, twoH, ctx, t - d)
-        if Q is None:
-            return None
-        delta = delta + Series2(
-            ctx, {(e, t - d - e): c for e, c in Q.items()}, bound - d, s.names
-        )
-    if not (delta * delta).eq_through(s.truncated(bound)):
-        return None
-    return delta
+    two = ctx.from_int(2)
+    delta = _graded_solve(s, target, {e: c * two for e, c in root.items()}, [root], d)
+    if delta is not None:
+        delta = delta.truncated(bound - d)
+        if (delta * delta).eq_through(s.truncated(bound)):
+            return delta
+    return None
 
 
 def multiplicity(s: Series2, h: Series2) -> int:
@@ -335,10 +337,22 @@ def multiplicity(s: Series2, h: Series2) -> int:
 
 def _disc_and_content(w: SymTwoDiff, h: Series2):
     """(m, g): the multiplicity of h in the discriminant, and the content of w
-    along h (the least multiplicity across the nonzero a, b, c)."""
-    m = multiplicity(w.disc, h)
-    contents = [multiplicity(x, h) for x in (w.a, w.b, w.c) if not x.is_zero()]
-    return m, min(contents) if contents else 0
+    along h (the least multiplicity across the nonzero a, b, c); measured once
+    per component series and kept on w."""
+    if h not in w._content:
+        m = multiplicity(w.disc, h)
+        contents = [multiplicity(x, h) for x in (w.a, w.b, w.c) if not x.is_zero()]
+        w._content[h] = m, min(contents) if contents else 0
+    return w._content[h]
+
+
+def _divide_out(s: Series2, h: Series2, times: int, message: str) -> Series2:
+    """s / h^times by repeated exact division, or DivisionFailure(message)."""
+    for _ in range(times):
+        s = try_divide(s, h)
+        if s is None:
+            raise DivisionFailure(message)
+    return s
 
 
 def core_discriminant(w: SymTwoDiff, components):
@@ -356,15 +370,8 @@ def core_discriminant(w: SymTwoDiff, components):
     core = w.disc
     for label, h in components:
         m, g = _disc_and_content(w, h)
-        if g:
-            for _ in range(2 * g):
-                nxt = try_divide(core, h)
-                if nxt is None:
-                    raise DivisionFailure(
-                        f"component {label} does not divide the discriminant "
-                        f"at the requested multiplicity {2 * g}"
-                    )
-                core = nxt
+        core = _divide_out(core, h, 2 * g, f"component {label} does not divide the "
+                           f"discriminant at the requested multiplicity {2 * g}")
         table[label] = {"disc": m, "content": g, "core": m - 2 * g}
     return core, table
 
@@ -550,17 +557,8 @@ def classify_component(w: SymTwoDiff, h: Series2, label: str = "h") -> Component
     mult_core = m - 2 * g
     reduced = w
     if g:
-        parts = []
-        for s in (w.a, w.b, w.c):
-            cur = s
-            for _ in range(g):
-                cur = try_divide(cur, h)
-                if cur is None:
-                    raise DivisionFailure(
-                        f"content extraction along {label} failed"
-                    )
-            parts.append(cur)
-        reduced = SymTwoDiff(*parts)
+        failed = f"content extraction along {label} failed"
+        reduced = SymTwoDiff(*(_divide_out(s, h, g, failed) for s in (w.a, w.b, w.c)))
     try:
         mu1, mu2 = split(reduced)
     except (NotSplit, Inconclusive):

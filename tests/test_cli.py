@@ -213,6 +213,17 @@ def test_remaining_error_conditions_reach_the_cli():
         assert rep["error"]["type"] == expect
 
 
+def test_split_lowest_form_with_odd_top_exponent_is_not_a_square():
+    # b^2 - 4ac starts with 2*z1*z2, whose top z1-exponent is odd: no square
+    # root, whether or not the backend has a root of the coefficient 2
+    for backend in ("exact", "approx"):
+        job = {"truncation": 10, "backend": backend,
+               "w": {"a": "1", "b": "0", "c": "-(2*z1*z2 + z1^5 + z2^5)/4"}}
+        code, rep = invoke("split", job)
+        assert code == EXIT_PRECISION, backend
+        assert rep["error"]["type"] == "Inconclusive", backend
+
+
 def test_exit_code_for_bad_json():
     code, text = run(["split"], "this is not json")
     assert code == EXIT_INPUT

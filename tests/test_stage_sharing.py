@@ -103,3 +103,22 @@ def test_stage_reads_the_job_discriminant(command, monkeypatch):
     assert len(discs) == 1
     # the call is on the job's own differential, axis content included
     assert discs[0].a.ord_along_axis(0) == (2 if command == "split" else 0)
+
+
+def test_classify_measures_each_component_once(monkeypatch):
+    # core_discriminant and classify_component both need each component's
+    # multiplicity in the discriminant and in a, b, c
+    calls = []
+    multiplicity = differentials.multiplicity
+
+    def counted_multiplicity(s, h):
+        calls.append((s, h))  # holding s and h keeps their ids unique
+        return multiplicity(s, h)
+
+    monkeypatch.setattr(differentials, "multiplicity", counted_multiplicity)
+    doc = DOCS["coefficients"]  # c = 0, components z1 and z2
+    _, report = invoke("classify", doc)
+    assert set(report["results"]["classify"]) == {"z1", "z2"}
+    # per component: the discriminant, a and b
+    assert len(calls) == 2 * 3
+    assert len({(id(s), id(h)) for s, h in calls}) == len(calls)

@@ -20,8 +20,18 @@ Run:  python demos/04_normal_forms_and_monodromy.py
 
 from fractions import Fraction
 
-from symdiff2 import EXACT, APPROX, DegenerateBasePoint, analyze_product_form
-from symdiff2.expressions import parse
+from symdiff2 import (
+    APPROX,
+    EXACT,
+    DegenerateBasePoint,
+    DifferentialInput,
+    analyze_product_form,
+)
+
+
+def product_form(scale, u, r):
+    """w = scale * d(u) * d(r), entered as expression strings."""
+    return DifferentialInput.from_strings({"scale": scale, "u": u, "r": r})
 
 
 def show(title, res):
@@ -41,39 +51,34 @@ def show(title, res):
 
 
 print("== 1. pure monodromy: w = (1+z2)^(1/2) dz1 d[z1(1+z2)] ==")
-res = analyze_product_form(
-    parse("(1+z2)^(1/2)"), parse("z1"), parse("z1*(1+z2)"), ctx=EXACT, order=12
-)
+w = product_form("(1+z2)^(1/2)", "z1", "z1*(1+z2)")
+res = analyze_product_form(*w.product_factors(EXACT, 12), order=12)
 show("factors acquire multipliers {-1, -1} around the leaf", res)
 
 print("== 1b. irrational exponent: infinite monodromy (approx backend) ==")
-res = analyze_product_form(
-    parse("(1+z2)^(1.4142135623730951)"), parse("z1"), parse("z1*(1+z2)"),
-    ctx=APPROX, order=12,
-)
+w = product_form("(1+z2)^(1.4142135623730951)", "z1", "z1*(1+z2)")
+res = analyze_product_form(*w.product_factors(APPROX, 12), order=12)
 show("no finite cover makes the factors single-valued", res)
 
 print("== 2. meromorphic factors: w = dz1^2 + z1 z2 dz1 dz2 ==")
 print("   (entered as e^{-z2^2/2} d(z1) d(z1 e^{z2^2/2}))")
-scale, u, r = parse("exp(-(z2^2)/2)"), parse("z1"), parse("z1*exp(z2^2/2)")
+w = product_form("exp(-(z2^2)/2)", "z1", "z1*exp(z2^2/2)")
 try:
-    analyze_product_form(scale, u, r, ctx=EXACT, order=12)
+    analyze_product_form(*w.product_factors(EXACT, 12), order=12)
 except DegenerateBasePoint as exc:
     print("   base point at the origin is degenerate:", exc)
-res = analyze_product_form(scale, u, r, ctx=EXACT, order=12, base_shift=Fraction(1))
+# recenter z2 at 1 on the expressions, before any series is built
+res = analyze_product_form(*w.product_factors(EXACT, 12, Fraction(1)), order=12)
 show("alpha = -1 forces a pole in one factor (d(z1^2/2) * (dz1/z1 + z2 dz2))", res)
 
 print("== 3. essential singularities: w = e^{z2/(1+z1 z2)} dz1 d[z1(1+z1 z2)] ==")
-res = analyze_product_form(
-    parse("exp(z2/(1+z1*z2))"), parse("z1"), parse("z1*(1+z1*z2)"),
-    ctx=EXACT, order=12,
-)
+w = product_form("exp(z2/(1+z1*z2))", "z1", "z1*(1+z1*z2)")
+res = analyze_product_form(*w.product_factors(EXACT, 12), order=12)
 show("the factors are e^{1/z1} dz1 and e^{-1/p} dp: essential along the leaf", res)
 
 print("== 4. no breakdown at all: w = d(z1+z1^2) d(z1(1+z2)) ==")
-res = analyze_product_form(
-    parse("1"), parse("z1+z1^2"), parse("z1*(1+z2)"), ctx=EXACT, order=10
-)
+w = product_form("1", "z1+z1^2", "z1*(1+z2)")
+res = analyze_product_form(*w.product_factors(EXACT, 10), order=10)
 show("holomorphic closed factors exist (first kind)", res)
 
 print("The same analyses are scriptable: echo '{...job...}' | symdiff2 theorem26")

@@ -174,11 +174,14 @@ class Job:
         ):
             raise JobError("m override must be a nonnegative integer")
         self.alpha_text = doc.get("alpha")
+        for key in ("base_shift", "alpha"):
+            if isinstance(doc.get(key), bool):
+                raise JobError(f"{key} must be a scalar expression, not a boolean")
         self.doc = doc
 
     def base_shift(self):
         if self.base_shift_text in (None, 0, "0"):
-            return None
+            return 0
         return self._scalar(str(self.base_shift_text))
 
     def alpha(self):
@@ -213,6 +216,8 @@ class Job:
             h = eval_ast(parse(str(text)), self.truncation, self.ctx)
             if h.order is not INF:
                 raise JobError(f"component {text!r} must be polynomial")
+            if h.is_zero():
+                raise JobError(f"component {text!r} vanishes identically")
             if not self.ctx.is_zero(h.constant_term):
                 raise JobError(f"component {text!r} must vanish at the origin")
             out.append((str(text), h))
@@ -300,14 +305,9 @@ def _run_pipeline(job: Job, results, warnings, *, solve: bool):
         raise JobError(
             "normal-form and theorem26 require the product form {scale, u, r}"
         )
-    shift = job.base_shift()
     analysis = analyze_product_form(
-        di.scale,
-        di.u,
-        di.r,
-        ctx=job.ctx,
+        *di.product_factors(job.ctx, job.truncation, job.base_shift()),
         order=job.truncation,
-        base_shift=shift if shift is not None else 0,
         m_override=job.m_override,
         solve=solve,
     )

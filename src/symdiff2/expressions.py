@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BackendMismatch,
@@ -676,6 +677,31 @@ class DifferentialInput:
             "differential must provide either {a, b, c} or {scale, u, r}"
         )
 
+    @cached_property
+    def _factors(self) -> dict:
+        """(ctx, order, base_shift) -> (h, u, r), filled by ``product_factors``."""
+        return {}
+
+    def product_factors(self, ctx: ScalarContext, order: int, base_shift=0):
+        """The product form as series ``(h, u, r)`` with ``w = h d(u) d(r)``.
+
+        A nonzero ``base_shift`` recenters z2 on the expressions.  The unit
+        constants of the three factors fold into h, so constants that are not
+        exact scalars (``exp(1/2)``) may appear in a factor as long as they
+        cancel across the product.  Computed once per (ctx, order, base_shift).
+        """
+        key = (ctx, order, base_shift)
+        if key not in self._factors:
+            nodes = (self.scale, self.u, self.r)
+            if base_shift:
+                nodes = [shift_variable(n, "z2", base_shift) for n in nodes]
+            (s_h, c_h), (s_u, c_u), (s_r, c_r) = (
+                eval_normalized(n, ctx, order) for n in nodes
+            )
+            combined = c_h.mul(ctx, c_u).mul(ctx, c_r)
+            self._factors[key] = s_h.scale(combined.collapse(ctx)), s_u, s_r
+        return self._factors[key]
+
     def coefficient_triple(self, ctx: ScalarContext, order: int):
         """Expand to the (a, b, c) coefficient series."""
         if not self.is_product_form:
@@ -684,9 +710,7 @@ class DifferentialInput:
                 eval_ast(self.b, order, ctx),
                 eval_ast(self.c, order, ctx),
             )
-        scale = eval_ast(self.scale, order, ctx)
-        u = eval_ast(self.u, order, ctx)
-        r = eval_ast(self.r, order, ctx)
+        scale, u, r = self.product_factors(ctx, order)
         u1, u2 = u.derive(0), u.derive(1)
         r1, r2 = r.derive(0), r.derive(1)
         return (

@@ -146,31 +146,15 @@ def order_of_contact(r: Series2) -> int:
     return dr.ord_along_axis(0) - 1
 
 
-def _shift_v2(s: Series2, amount) -> Series2:
-    if all(j == 0 for (_, j) in s.coeffs):
-        return s
-    inner1 = Series2.variable(s.ctx, 0, INF, s.names)
-    inner2 = Series2.variable(s.ctx, 1, INF, s.names) + Series2.const(
-        s.ctx, amount, INF, s.names
-    )
-    return s.substitute(inner1, inner2)
-
-
-def leaf_chart(h: Series2, r: Series2, base_shift=0) -> NormalFormData:
+def leaf_chart(h: Series2, r: Series2) -> NormalFormData:
     """Construct the normal-form chart for w = h dv1 dr along {v1 = 0}.
 
-    A nonzero ``base_shift`` recenters v2 before building the chart; at the
-    series level this is only possible losslessly for exact polynomial data
-    (otherwise shift at the expression level, see
-    :func:`analyze_product_form`).  Raises DegenerateBasePoint when the
-    transverse part has vanishing derivative at the chosen base point.
+    Raises DegenerateBasePoint when the transverse part has vanishing
+    derivative at the base point; recentering v2 happens on the expressions
+    (``DifferentialInput.product_factors``), before the series exist.
     """
     ctx = r.ctx
     names = r.names
-    shift = ctx.coerce(base_shift)
-    if not ctx.is_zero(shift):
-        h = _shift_v2(h, shift)
-        r = _shift_v2(r, shift)
     m = order_of_contact(r)
     u = r.div_monomial(1, 0)
     s = u.slice_z2_zero()
@@ -340,6 +324,8 @@ def monodromy_index(alpha, ctx: ScalarContext) -> MonodromyIndex:
         if alpha.im:
             return MonodromyIndex(c, "infinite", note="exponent has nonzero imaginary part")
         q = alpha.re
+        if (4 * q).denominator == 1:  # a fourth root of unity, without libm rounding
+            c = (1 + 0j, 1j, -1 + 0j, -1j)[int(4 * q) % 4]
         if q.denominator == 1:
             return MonodromyIndex(c, "trivial", order=1)
         return MonodromyIndex(c, "finite", order=q.denominator)
@@ -415,57 +401,43 @@ class LeafAnalysis:
 
 
 def analyze_product_form(
-    scale_ast,
-    u_ast,
-    r_ast,
+    h: Series2,
+    u: Series2,
+    r: Series2,
     *,
-    ctx: ScalarContext,
     order: int,
-    base_shift=0,
     m_override: int | None = None,
     solve: bool = True,
 ) -> LeafAnalysis:
-    """Run the full pipeline on w = scale * d(u) * d(r) given as ASTs.
+    """Run the full pipeline on w = h * d(u) * d(r) given as series.
 
-    The base shift recenters v2 at the expression level, so exactness
-    survives recentering whenever the shifted factors only differ from
-    representable series by constants that cancel across the product (they
-    always do, since the product is the original differential).
+    The factors come from ``DifferentialInput.product_factors``, which also
+    recenters z2 when the base point at the origin is degenerate.
     """
-    from .expressions import eval_normalized, shift_variable
-
-    if base_shift:
-        scale_ast = shift_variable(scale_ast, "z2", base_shift)
-        u_ast = shift_variable(u_ast, "z2", base_shift)
-        r_ast = shift_variable(r_ast, "z2", base_shift)
-    s_u, c_u = eval_normalized(u_ast, ctx, order)
-    s_r, c_r = eval_normalized(r_ast, ctx, order)
-    s_h, c_h = eval_normalized(scale_ast, ctx, order)
-    combined = c_h.mul(ctx, c_u).mul(ctx, c_r)
-    h_eff = s_h.scale(combined.collapse(ctx))
-    if not ctx.is_zero(s_u.constant_term):
+    ctx = u.ctx
+    if not ctx.is_zero(u.constant_term):
         raise NotALeafPresentation(
             "the base point does not lie on the leaf {u = 0}; "
             "choose a base_shift with u(0, shift) = 0"
         )
-    names = s_u.names
+    names = u.names
     warnings = []
-    if len(s_u.coeffs) == 1 and (1, 0) in s_u.coeffs and ctx.eq(
-        s_u.coefficient(1, 0), ctx.one
+    if len(u.coeffs) == 1 and (1, 0) in u.coeffs and ctx.eq(
+        u.coefficient(1, 0), ctx.one
     ):
-        h_v, r_v = h_eff, s_r
+        h_v, r_v = h, r
     else:
-        du1 = s_u.coefficient(1, 0)
-        du2 = s_u.coefficient(0, 1)
+        du1 = u.coefficient(1, 0)
+        du2 = u.coefficient(0, 1)
         if ctx.is_zero(du1) and ctx.is_zero(du2):
             raise NotALeafPresentation("du vanishes at the base point")
         other = Series2.variable(ctx, 1 if not ctx.is_zero(du1) else 0, INF, names)
-        phi = CoordMap(s_u.truncated(order), other.truncated(order))
+        phi = CoordMap(u.truncated(order), other.truncated(order))
         psi = reverse_map(phi, order)
-        h_v = h_eff.substitute(psi.comp1, psi.comp2)
-        r_v = s_r.substitute(psi.comp1, psi.comp2)
+        h_v = h.substitute(psi.comp1, psi.comp2)
+        r_v = r.substitute(psi.comp1, psi.comp2)
         warnings.append("applied a preliminary chart to make u the first coordinate")
-    nf = leaf_chart(h_v, r_v, 0)
+    nf = leaf_chart(h_v, r_v)
     inv = nf.chart.reverse(order)
     chart_factor = nf.fout.substitute(inv.comp1, inv.comp2).truncated(order)
     analysis = LeafAnalysis(nf, chart_factor, warnings=warnings)

@@ -31,7 +31,7 @@ from symdiff2.differentials import (
     split,
 )
 from symdiff2.errors import DegenerateBasePoint, NotSeparable
-from symdiff2.expressions import eval_text, parse
+from symdiff2.expressions import DifferentialInput, eval_text, parse
 from symdiff2.local_forms import (
     analyze_product_form,
     compose_singular_decomposition,
@@ -63,22 +63,18 @@ def test_criterion_1_essential_singularity_oracle():
 
 def test_criterion_2_monodromy_oracle():
     # exact alpha = 1/2 recovered exactly; c = -1; finite order 2
-    res = analyze_product_form(
-        parse("(1+z2)^(1/2)"), parse("z1"), parse("z1*(1+z2)"), ctx=EXACT, order=12
-    )
+    di = DifferentialInput(scale=parse("(1+z2)^(1/2)"), u=parse("z1"), r=parse("z1*(1+z2)"))
+    res = analyze_product_form(*di.product_factors(EXACT, 12), order=12)
     dec = res.decomposition
     assert dec.alpha == GaussianRational(Fraction(1, 2))
     mi = res.leaf.monodromy
     assert abs(mi.c - (-1)) <= TOL
     assert mi.order_type == "finite" and mi.order == 2
     # approx alpha = sqrt(2): flagged infinite
-    res = analyze_product_form(
-        parse(f"(1+z2)^({math.sqrt(2)!r})"),
-        parse("z1"),
-        parse("z1*(1+z2)"),
-        ctx=APPROX,
-        order=12,
+    di = DifferentialInput(
+        scale=parse(f"(1+z2)^({math.sqrt(2)!r})"), u=parse("z1"), r=parse("z1*(1+z2)")
     )
+    res = analyze_product_form(*di.product_factors(APPROX, 12), order=12)
     alpha = complex(res.decomposition.alpha)
     assert abs(alpha - math.sqrt(2)) <= TOL
     assert res.leaf.monodromy.order_type == "infinite"
@@ -93,12 +89,12 @@ def test_criterion_3_meromorphic_oracle():
     )
     mu1, mu2 = split(w)
     assert product(mu1, mu2).eq_through(w)
-    scale, u, r = parse("exp(-(z2^2)/2)"), parse("z1"), parse("z1*exp(z2^2/2)")
-    with pytest.raises(DegenerateBasePoint):
-        analyze_product_form(scale, u, r, ctx=EXACT, order=12, base_shift=0)
-    res = analyze_product_form(
-        scale, u, r, ctx=EXACT, order=12, base_shift=Fraction(1)
+    di = DifferentialInput(
+        scale=parse("exp(-(z2^2)/2)"), u=parse("z1"), r=parse("z1*exp(z2^2/2)")
     )
+    with pytest.raises(DegenerateBasePoint):
+        analyze_product_form(*di.product_factors(EXACT, 12, 0), order=12)
+    res = analyze_product_form(*di.product_factors(EXACT, 12, Fraction(1)), order=12)
     leaf = res.leaf
     assert leaf.singularity == "meromorphic"
     assert leaf.monodromy.order_type == "trivial"

@@ -120,6 +120,30 @@ def test_monodromy_command_via_pipeline():
     assert rep["results"]["monodromy"]["order"] == 2
 
 
+def test_monodromy_exact_fourth_roots_of_unity_carry_no_rounding():
+    # c = exp(2 pi i alpha) is exactly 1, i, -1 or -i when 4 alpha is an integer
+    for alpha, pair in (("2", ["1", "1"]), ("1/2", ["-1", "-1"]),
+                        ("1/4", ["0-1*i", "0+1*i"])):
+        code, rep = invoke("monodromy", {"truncation": 8, "backend": "exact", "alpha": alpha})
+        assert code == EXIT_OK, alpha
+        assert rep["results"]["monodromy"]["pair"] == pair, alpha
+
+
+# exp(1) and exp(-1) are not exact scalars, but they cancel across the product
+CANCELLING = {"truncation": 10,
+              "w": {"scale": "exp(1)", "u": "z1", "r": "z1*exp(-1)*(1+z1*z2)"}}
+
+
+def test_unit_constants_cancel_across_the_product_form():
+    code, rep = invoke("theorem26", CANCELLING)
+    assert code == EXIT_OK
+    assert rep["results"]["decomposition"]["residual_zero"] is True
+    for cmd in ("analyze", "closedness"):
+        code, rep = invoke(cmd, CANCELLING)
+        assert code == EXIT_OK, cmd
+        assert rep["results"]["closedness"]["verdict"] == "yes", cmd
+
+
 def test_analyze_command():
     job = {"truncation": 12, "backend": "exact",
            "w": {"scale": "(1+z2)^(1/2)", "u": "z1", "r": "z1*(1+z2)"},
@@ -165,6 +189,12 @@ def test_exit_codes_for_input_errors():
         ({"truncation": 8, "backend": "exact",
           "w": {"a": "1", "b": "0", "c": "0"}, "components": ["1+z1"]},
          "component must vanish at origin"),
+        ({"truncation": 8, "backend": "exact",
+          "w": {"a": "1", "b": "z1*z2", "c": "0"}, "components": ["0"]},
+         "zero component"),
+        ({"truncation": 8, "backend": "exact",
+          "w": {"a": "1", "b": "z1*z2", "c": "0"}, "components": ["z1-z1"]},
+         "component that cancels to zero"),
     ]
     for job, label in bad_jobs:
         code, rep = invoke("analyze", job)
@@ -179,6 +209,9 @@ def test_json_booleans_and_strings_are_not_integers_or_lists():
         ("theorem26", {**ESSENTIAL, "m": False}, "m override"),
         ("split", {**NON_SPLIT, "truncation": True}, "truncation"),
         ("classify", {**NON_SPLIT, "components": "z1"}, "components"),
+        ("theorem26", {**ESSENTIAL, "base_shift": False}, "base_shift"),
+        ("theorem26", {**ESSENTIAL, "base_shift": True}, "base_shift"),
+        ("monodromy", {**ESSENTIAL, "alpha": True}, "alpha"),
     ]
     for cmd, job, field in bad:
         code, rep = invoke(cmd, job)

@@ -16,7 +16,7 @@ from symdiff2.errors import (
     ValuationError,
     ZeroSeries,
 )
-from symdiff2.expressions import eval_text, parse
+from symdiff2.expressions import DifferentialInput, eval_text, parse
 from symdiff2.local_forms import (
     analyze_product_form,
     classify_leaf,
@@ -90,7 +90,7 @@ def test_leaf_chart_worked_example(exact_ctx):
     ctx = exact_ctx
     z1, z2, one = gens(ctx)
     r = z1 * (one + z1 + z2 + z2 * z2)
-    nf = leaf_chart(one.truncated(12), r, 0)
+    nf = leaf_chart(one.truncated(12), r)
     assert nf.m == 0
     assert nf.s.eq_through(Series1.from_terms(ctx, {0: 1, 1: 1}))
     assert nf.t.eq_through(Series1.from_terms(ctx, {1: 1, 2: 1}, var="z2"))
@@ -103,7 +103,7 @@ def test_leaf_chart_worked_example(exact_ctx):
 def test_leaf_chart_trivial(ctx):
     z1, z2, one = gens(ctx)
     r = z1 * (one + z2)
-    nf = leaf_chart(one.truncated(10), r, 0)
+    nf = leaf_chart(one.truncated(10), r)
     assert nf.m == 0
     assert nf.s.eq_through(Series1.const(ctx, 1))
     assert nf.t.eq_through(Series1.from_terms(ctx, {1: 1}, var="z2"))
@@ -115,15 +115,12 @@ def test_leaf_chart_degenerate_base_point(exact_ctx):
     z1, z2, one = gens(ctx)
     r = z1 * eval_text("exp(z2^2/2)", 12, ctx)
     with pytest.raises(DegenerateBasePoint):
-        leaf_chart(one.truncated(12), r, 0)
-    # series-level recentering of infinite-tail data is refused
-    with pytest.raises(ValuationError):
-        leaf_chart(one.truncated(12), r, Fraction(1))
+        leaf_chart(one.truncated(12), r)
     # polynomial data recenters exactly
     rp = z1 * (one + z2 * z2)
     with pytest.raises(DegenerateBasePoint):
-        leaf_chart(one.truncated(12), rp, 0)
-    nf = leaf_chart(one.truncated(12), rp, Fraction(1))
+        leaf_chart(one.truncated(12), rp)
+    nf = leaf_chart(one.truncated(12), rp.substitute(z1, z2 + one))
     assert nf.m == 0
 
 
@@ -138,7 +135,7 @@ def test_leaf_chart_identity_random_units(exact_ctx):
         r = (z1 * (one + Series2.monomial(ctx, m, 0) * z2 * u)).truncated(9)
         h = rand_unit2(ctx, rnd, deg=2, nterms=3).truncated(8)
         try:
-            nf = leaf_chart(h, r, 0)
+            nf = leaf_chart(h, r)
         except (DegenerateBasePoint, NotALeafPresentation, ZeroSeries):
             continue
         mono = Series2.monomial(ctx, nf.m, 0)
@@ -389,14 +386,10 @@ def test_products_of_holomorphic_closed_factors_are_first_kind(exact_ctx):
 
 
 def test_pipeline_meromorphic_example(exact_ctx):
-    res = analyze_product_form(
-        parse("exp(-(z2^2)/2)"),
-        parse("z1"),
-        parse("z1*exp(z2^2/2)"),
-        ctx=EXACT,
-        order=12,
-        base_shift=Fraction(1),
+    di = DifferentialInput(
+        scale=parse("exp(-(z2^2)/2)"), u=parse("z1"), r=parse("z1*exp(z2^2/2)")
     )
+    res = analyze_product_form(*di.product_factors(EXACT, 12, Fraction(1)), order=12)
     assert res.normal_form.m == 0
     dec = res.decomposition
     assert dec.k == 0 and dec.alpha == GaussianRational(-1)
@@ -408,33 +401,24 @@ def test_pipeline_meromorphic_example(exact_ctx):
 
 def test_pipeline_requires_leaf_through_base_point(exact_ctx):
     with pytest.raises(NotALeafPresentation):
-        analyze_product_form(
-            parse("1"), parse("1+z1"), parse("z1*(1+z2)"), ctx=EXACT, order=10
-        )
+        di = DifferentialInput(scale=parse("1"), u=parse("1+z1"), r=parse("z1*(1+z2)"))
+        analyze_product_form(*di.product_factors(EXACT, 10), order=10)
 
 
 def test_pipeline_preliminary_chart(exact_ctx):
     # u = z1 + z1^2 is a coordinate only after a preliminary chart
-    res = analyze_product_form(
-        parse("1"),
-        parse("z1+z1^2"),
-        parse("z1*(1+z2)"),
-        ctx=EXACT,
-        order=10,
-    )
+    di = DifferentialInput(scale=parse("1"), u=parse("z1+z1^2"), r=parse("z1*(1+z2)"))
+    res = analyze_product_form(*di.product_factors(EXACT, 10), order=10)
     assert res.decomposition.residual_zero
     assert res.leaf is not None and res.leaf.first_kind
     assert any("preliminary chart" in w for w in res.warnings)
 
 
 def test_pipeline_essential_example(exact_ctx):
-    res = analyze_product_form(
-        parse("exp(z2/(1+z1*z2))"),
-        parse("z1"),
-        parse("z1*(1+z1*z2)"),
-        ctx=EXACT,
-        order=12,
+    di = DifferentialInput(
+        scale=parse("exp(z2/(1+z1*z2))"), u=parse("z1"), r=parse("z1*(1+z1*z2)")
     )
+    res = analyze_product_form(*di.product_factors(EXACT, 12), order=12)
     assert res.normal_form.m == 1
     dec = res.decomposition
     assert dec.alpha == GaussianRational(0) and dec.k == 0

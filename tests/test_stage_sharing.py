@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from symdiff2 import differentials
+from symdiff2 import differentials, expressions
 from symdiff2.cli import run
 from symdiff2.expressions import DifferentialInput
 
@@ -76,6 +76,27 @@ def test_analyze_evaluates_once(name, monkeypatch):
     assert len(triples) == 1
     assert discs
     assert len({id(w) for w in discs}) == len(discs)
+
+
+@pytest.mark.parametrize("base_shift, calls", [(None, 3), ("1", 6)])
+def test_product_form_factors_are_evaluated_once_per_center(base_shift, calls, monkeypatch):
+    # the coefficient triple and the pipeline read the same (h, u, r); a
+    # base shift recenters z2, so the pipeline evaluates the factors again
+    evaluated = []
+    for name in ("eval_ast", "eval_normalized"):
+        def counted(node, *args, _fn=getattr(expressions, name)):
+            evaluated.append(node)
+            return _fn(node, *args)
+
+        monkeypatch.setattr(expressions, name, counted)
+    doc = {"truncation": 12, "backend": "exact",
+           "w": {"scale": "exp(-(z2^2)/2)", "u": "z1", "r": "z1*exp(z2^2/2)"}}
+    if base_shift is not None:
+        doc["base_shift"] = base_shift
+    _, report = invoke("analyze", doc)
+    # the origin is a degenerate base point for this chart; the shift fixes it
+    assert ("decomposition" in report["results"]) == (base_shift is not None)
+    assert len(evaluated) == calls
 
 
 # closedness expands its numerator around w.disc, and split strips axis

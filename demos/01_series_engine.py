@@ -7,7 +7,7 @@ Run:  python demos/01_series_engine.py
 
 from fractions import Fraction
 
-from symdiff2 import EXACT, APPROX, CoordMap, Series1, Series2, reverse_map
+from symdiff2 import EXACT, APPROX, CoordMap, Series2, reverse_map
 
 ctx = EXACT
 z1 = Series2.variable(ctx, 0)
@@ -34,8 +34,8 @@ print("exp(log(1+z1+z2)) == it :", (one + z1 + z2).log(8).exp(8).eq_through(one 
 print()
 print("== composition, including Laurent outer series ==")
 p = z1 * (one + z1 * z2)
-pole = Series1.from_terms(ctx, {-1: 1})
-print("p^-1 at p=z1(1+z1 z2)   =", pole.substitute(p, 8))
+pole = Series2.monomial(ctx, -1, 0)
+print("p^-1 at p=z1(1+z1 z2)   =", pole.substitute(p, Series2.zero(ctx), 8))
 
 print()
 print("== reversion by graded jet lifting ==")

@@ -82,11 +82,8 @@ from .series import (
     DEFAULT_ORDER,
     INF,
     CoordMap,
-    Series1,
     Series2,
     reverse_map,
-    substitute_series1,
-    transcendental,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import is_dataclass
 from functools import cached_property
 
 from . import errors as err
@@ -76,6 +77,10 @@ COMMANDS = (
 
 _LEADING_TERMS = 10
 
+# Parsing and evaluation recurse at least once per level of an expression, so
+# job text nested deeper than this is refused before it can exhaust the stack.
+MAX_NESTING = 500
+
 
 def _series_summary(s):
     terms = s.terms_sorted()
@@ -88,7 +93,8 @@ def _series_summary(s):
 
 
 def _series1_table(s):
-    return {str(i): s.ctx.fmt(c) for i, c in sorted(s.coeffs.items())}
+    """A one-axis series as {exponent: coefficient}; the other exponent is 0."""
+    return {str(i + j): s.ctx.fmt(c) for (i, j), c in sorted(s.coeffs.items())}
 
 
 def _oneform_summary(mu):
@@ -148,6 +154,27 @@ class JobError(ValueError):
     pass
 
 
+def _nesting(parsed) -> int:
+    """Depth of a parsed job value (an AST or a DifferentialInput)."""
+    deepest, stack = 0, [(parsed, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((c, depth + 1) for c in vars(node).values() if is_dataclass(c))
+    return deepest
+
+
+def _read(reader, text):
+    """``reader(text)`` for job text, refusing expressions nested too deeply."""
+    try:
+        parsed = reader(text)
+    except RecursionError:
+        parsed = None
+    if parsed is None or _nesting(parsed) > MAX_NESTING:
+        raise JobError(f"expression nested more than {MAX_NESTING} levels deep")
+    return parsed
+
+
 class Job:
     """Validated job document."""
 
@@ -190,7 +217,7 @@ class Job:
         return self._scalar(str(self.alpha_text))
 
     def _scalar(self, text):
-        lit = fold_scalar(parse(text))
+        lit = fold_scalar(_read(parse, text))
         if lit.exact is not None:
             return lit.exact if self.backend == "exact" else self.ctx.coerce(lit.approx)
         if self.backend == "exact":
@@ -201,8 +228,8 @@ class Job:
     def differential(self) -> DifferentialInput:
         if not isinstance(self.w_doc, dict):
             raise JobError("job must carry a 'w' object")
-        return DifferentialInput.from_strings(
-            {k: str(v) for k, v in self.w_doc.items()}
+        return _read(
+            DifferentialInput.from_strings, {k: str(v) for k, v in self.w_doc.items()}
         )
 
     @cached_property
@@ -213,7 +240,7 @@ class Job:
     def component_series(self):
         out = []
         for text in self.components:
-            h = eval_ast(parse(str(text)), self.truncation, self.ctx)
+            h = eval_ast(_read(parse, str(text)), self.truncation, self.ctx)
             if h.order is not INF:
                 raise JobError(f"component {text!r} must be polynomial")
             if h.is_zero():

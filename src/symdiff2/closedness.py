@@ -104,8 +104,7 @@ def first_kind_decompose(g: Series2):
     ctx = g.ctx
     f = g.slice_z2_zero()
     h = g.slice_z1_zero().scale(ctx.inv(g.constant_term))
-    recomposed = f.to_series2(0, g.names) * h.to_series2(1, g.names)
-    residual = g - recomposed
+    residual = g - f * h
     if residual.is_zero():
         return f, h
     raise NotSeparable(residual)

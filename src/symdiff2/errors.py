@@ -50,7 +50,7 @@ class ExprSyntaxError(SymDiffError):
 
 
 class ExponentNotScalar(SymDiffError):
-    """Exponents must fold to numeric literals, never contain variables."""
+    """Exponents and scalar parameters must fold to finite numbers, never contain variables."""
 
 
 class NotSplit(SymDiffError):

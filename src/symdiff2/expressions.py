@@ -29,6 +29,7 @@ the factors of a differential before collapsing.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -266,11 +267,15 @@ def parse(text: str):
 
 
 def fold_scalar(node) -> ScalarLit:
-    """Fold a literal-only expression into a scalar; reject variables."""
-    value = _fold(node)
-    if isinstance(value, GaussianRational):
-        return ScalarLit(value, complex(value))
-    return ScalarLit(None, complex(value))
+    """Fold a literal-only expression into a finite scalar; reject variables."""
+    try:
+        value = _fold(node)
+        approx = complex(value)
+    except OverflowError:  # float arithmetic, or an exact value beyond float range
+        approx = None
+    if approx is None or not cmath.isfinite(approx):
+        raise ExponentNotScalar("scalar literal does not fold to a finite number")
+    return ScalarLit(value if isinstance(value, GaussianRational) else None, approx)
 
 
 def _fold(node):
@@ -295,6 +300,8 @@ def _fold(node):
         if node.op == "*":
             return a * b
         if node.op == "/":
+            if not b:
+                raise DivisionByNonUnit("division by zero in a scalar literal")
             return a / b
         raise ExponentNotScalar(f"operator {node.op!r} cannot appear in an exponent")
     if isinstance(node, Pow):
@@ -303,6 +310,8 @@ def _fold(node):
         if n is None:
             raise ExponentNotScalar("nested fractional powers in an exponent")
         base = _fold(node.base)
+        if n < 0 and not base:
+            raise DivisionByNonUnit("negative power of zero in a scalar literal")
         return base ** n if n >= 0 else 1 / (base ** (-n))
     if isinstance(node, ScalarLit):
         return node.exact if node.exact is not None else node.approx

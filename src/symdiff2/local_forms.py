@@ -40,15 +40,7 @@ from .errors import (
     ZeroSeries,
 )
 from .scalars import ScalarContext
-from .series import (
-    DEFAULT_ORDER,
-    INF,
-    CoordMap,
-    Series1,
-    Series2,
-    reverse_map,
-    substitute_series1,
-)
+from .series import DEFAULT_ORDER, INF, CoordMap, Series2, reverse_map
 
 # -- data types ---------------------------------------------------------
 
@@ -63,8 +55,8 @@ class NormalFormData:
     """
 
     m: int
-    s: Series1
-    t: Series1
+    s: Series2  # terms on the z1 axis
+    t: Series2  # terms on the z2 axis
     gcorr: Series2
     chart: CoordMap
     fout: Series2
@@ -82,8 +74,8 @@ class SingularDecomposition:
 
     k: int
     alpha: object
-    f: Series1
-    g: Series1
+    f: Series2  # terms on the z1 axis
+    g: Series2  # terms on the p axis, names ("p", z2)
     residual: Series2
     m: int
 
@@ -159,29 +151,27 @@ def leaf_chart(h: Series2, r: Series2) -> NormalFormData:
     u = r.div_monomial(1, 0)
     s = u.slice_z2_zero()
     t_order = u.order if u.order is INF else u.order - m
-    t = Series1(
+    t = Series2(
         ctx,
-        {j: c for (i, j), c in u.coeffs.items() if i == m and j >= 1},
+        {(0, j): c for (i, j), c in u.coeffs.items() if i == m and j >= 1},
         t_order,
-        names[1],
+        names,
     )
-    if ctx.is_zero(t.coefficient(1)):
+    if ctx.is_zero(t.coefficient(0, 1)):
         raise DegenerateBasePoint(
             "transverse derivative dt vanishes at the base point; "
             "retry with a nonzero base_shift"
         )
     v1 = Series2.variable(ctx, 0, INF, names)
-    s_v = s.to_series2(0, names)
-    t_v = t.to_series2(1, names)
-    rest = u - s_v - t_v * Series2.monomial(ctx, m, 0, names=names)
+    rest = u - s - t * Series2.monomial(ctx, m, 0, names=names)
     if rest.coeffs and min(i for (i, _) in rest.coeffs) < m + 1:
         raise PrecisionExhausted(
             "inconsistent contact-order decomposition; raise the truncation"
         )
     gcorr = rest.div_monomial(m + 1, 0)
-    z1c = v1 * s_v
-    s_pow = s_v._int_pow(m + 1, None)
-    z2c = (t_v + v1 * gcorr) * s_pow.invert_unit()
+    z1c = v1 * s
+    s_pow = s._int_pow(m + 1, None)
+    z2c = (t + v1 * gcorr) * s_pow.invert_unit()
     chart = CoordMap(z1c, z2c)
     recon = z1c * (
         Series2.const(ctx, ctx.one, INF, names)
@@ -189,7 +179,7 @@ def leaf_chart(h: Series2, r: Series2) -> NormalFormData:
     )
     if not recon.eq_through(r):
         raise PrecisionExhausted("chart identity failed at this truncation")
-    den = s_v + v1 * s_v.derive(0)
+    den = s + v1 * s.derive(0)
     fout = h * den.invert_unit()
     return NormalFormData(m, s, t, gcorr, chart, fout)
 
@@ -197,14 +187,14 @@ def leaf_chart(h: Series2, r: Series2) -> NormalFormData:
 # -- the singular decomposition solver ------------------------------------
 
 
-def _factor_terms(ctx, f: Series1, g: Series1, m: int, order, names):
+def _factor_terms(ctx, f: Series2, g: Series2, m: int, order, names):
     """(1 + z1^m z2, f(z1), g(p)) with p = z1 (1 + z1^m z2), as bivariate series."""
     one = Series2.const(ctx, ctx.one, INF, names)
     unit_factor = one + Series2.monomial(ctx, m, 0, names=names) * Series2.variable(
         ctx, 1, INF, names
     )
     p = Series2.variable(ctx, 0, INF, names) * unit_factor
-    return unit_factor, f.to_series2(0, names), substitute_series1(g, p, order)
+    return unit_factor, f, g.substitute(p, Series2.zero(ctx, INF, names), order)
 
 
 def solve_singular_decomposition(v: Series2, m: int) -> SingularDecomposition:
@@ -238,18 +228,17 @@ def solve_singular_decomposition(v: Series2, m: int) -> SingularDecomposition:
         )
     L = vt.log(N)
     D = L.derive(1).slice_z2_zero()
-    alpha = D.coefficient(m)
-    reduced = D - Series1.from_terms(ctx, {m: alpha}, INF, names[0])
+    alpha = D.coefficient(m, 0)
+    reduced = D - Series2.monomial(ctx, m, 0, alpha, names=names)
     g_coeffs = {}
-    for e, cc in reduced.coeffs.items():
+    for (e, _), cc in reduced.coeffs.items():
         i = e - m
         if i == 0:
             continue
-        g_coeffs[i] = cc * ctx.inv(ctx.from_int(i))
+        g_coeffs[(i, 0)] = cc * ctx.inv(ctx.from_int(i))
     g_order = reduced.order if reduced.order is INF else reduced.order - m
-    g = Series1(ctx, g_coeffs, g_order, "p")
-    g_z1 = Series1(ctx, g_coeffs, g_order, names[0])
-    f = L.slice_z2_zero() - g_z1
+    g = Series2(ctx, g_coeffs, g_order, ("p", names[1]))
+    f = L.slice_z2_zero() - g.with_names(names)
     if f.pole > m or g.pole > m:
         raise PrecisionExhausted(
             "recovered pole order exceeds the contact order; input is not in "
@@ -262,7 +251,7 @@ def solve_singular_decomposition(v: Series2, m: int) -> SingularDecomposition:
 
 
 def compose_singular_decomposition(
-    ctx: ScalarContext, k: int, alpha, f: Series1, g: Series1, m: int, order: int,
+    ctx: ScalarContext, k: int, alpha, f: Series2, g: Series2, m: int, order: int,
     names=("z1", "z2"),
 ) -> Series2:
     """Rebuild the conformal factor z1^k (1+z1^m z2)^alpha e^f e^g(p).
@@ -362,7 +351,7 @@ def classify_leaf(d: SingularDecomposition) -> LeafClass:
             "decomposition residual is nonzero; the input is not closed"
         )
     ctx = d.residual.ctx
-    has_poles = d.f.has_pole() or d.g.has_pole()
+    poles = d.f.pole or d.g.pole
     if ctx.name == "exact":
         is_int = d.alpha.is_integer
         n = int(d.alpha.re) if is_int else None
@@ -371,8 +360,8 @@ def classify_leaf(d: SingularDecomposition) -> LeafClass:
         is_int = abs(z.imag) <= ctx.tol and abs(z.real - round(z.real)) <= ctx.tol
         n = round(z.real) if is_int else None
     in_range = is_int and 0 <= n <= d.k
-    first_kind = in_range and not has_poles
-    if has_poles:
+    first_kind = in_range and not poles
+    if poles:
         singularity = "essential"
     elif is_int and not in_range:
         singularity = "meromorphic"

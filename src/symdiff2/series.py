@@ -21,9 +21,10 @@ which costs about one truncated product instead of one per degree.  Its
 degree-d equation reads only input parts of degree <= d, so the result is
 guaranteed through exactly the order the series sums guaranteed.
 
-:class:`Series1` is the one-variable sibling (used for slices along the axes
-and for Laurent data along the leaf), and :class:`CoordMap` packages a pair
-of series as a formal change of coordinates with composition and reversion.
+A one-variable series (a slice along an axis, or the Laurent data along the
+leaf) is a :class:`Series2` whose terms lie on one axis.  :class:`CoordMap`
+packages a pair of series as a formal change of coordinates with composition
+and reversion.
 """
 
 from __future__ import annotations
@@ -307,19 +308,19 @@ class Series2:
 
     # -- slices -------------------------------------------------------
 
-    def slice_z2_zero(self) -> "Series1":
-        """The restriction s(z1, 0)."""
-        coeffs = {i: c for (i, j), c in self.coeffs.items() if j == 0}
-        return Series1(self.ctx, coeffs, self.order, self.names[0])
+    def slice_z2_zero(self) -> "Series2":
+        """The restriction s(z1, 0): the terms with no z2."""
+        coeffs = {k: c for k, c in self.coeffs.items() if k[1] == 0}
+        return Series2(self.ctx, coeffs, self.order, self.names)
 
-    def slice_z1_zero(self) -> "Series1":
+    def slice_z1_zero(self) -> "Series2":
         """The restriction s(0, z2); undefined on series with a pole part."""
         if self.pole:
             raise ValuationError("cannot restrict a z1-Laurent series to {z1=0}")
-        coeffs = {j: c for (i, j), c in self.coeffs.items() if i == 0}
-        return Series1(self.ctx, coeffs, self.order, self.names[1])
+        coeffs = {k: c for k, c in self.coeffs.items() if k[0] == 0}
+        return Series2(self.ctx, coeffs, self.order, self.names)
 
-    # -- inverses and transcendental operations ------------------------
+    # -- inverses, exp, log and powers ----------------------------------
 
     def _resolve_order(self, order):
         if order is None:
@@ -544,163 +545,6 @@ def _exponent_scalar(ctx, e):
     return ctx.coerce(e)
 
 
-class Series1:
-    """One-variable truncated Laurent series (negative exponents allowed)."""
-
-    __slots__ = ("ctx", "coeffs", "order", "var")
-
-    def __init__(self, ctx, coeffs: dict, order, var="z1"):
-        self.ctx = ctx
-        self.var = var
-        order = _norm_order(order)
-        self.coeffs = {
-            int(i): c for i, c in coeffs.items()
-            if not ctx.is_zero(c) and (order is INF or i <= order)
-        }
-        self.order = order
-
-    @classmethod
-    def zero(cls, ctx, order=INF, var="z1"):
-        return cls(ctx, {}, order, var)
-
-    @classmethod
-    def const(cls, ctx, value, order=INF, var="z1"):
-        return cls(ctx, {0: ctx.coerce(value)}, order, var)
-
-    @classmethod
-    def from_terms(cls, ctx, terms: dict, order=INF, var="z1"):
-        return cls(ctx, {i: ctx.coerce(v) for i, v in terms.items()}, order, var)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def pole(self) -> int:
-        neg = [i for i in self.coeffs if i < 0]
-        return -min(neg) if neg else 0
-
-    def has_pole(self) -> bool:
-        return any(i < 0 for i in self.coeffs)
-
-    def coefficient(self, i):
-        return self.coeffs.get(i, self.ctx.zero)
-
-    def _check_compat(self, other):
-        if self.ctx != other.ctx or self.var != other.var:
-            raise BackendMismatch("incompatible one-variable series")
-
-    def __add__(self, other):
-        if not isinstance(other, Series1):
-            other = Series1.const(self.ctx, other, var=self.var)
-        self._check_compat(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, self.ctx.zero) + c
-        return Series1(self.ctx, out, min(self.order, other.order), self.var)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series1(self.ctx, {i: -c for i, c in self.coeffs.items()}, self.order, self.var)
-
-    def __sub__(self, other):
-        if not isinstance(other, Series1):
-            other = Series1.const(self.ctx, other, var=self.var)
-        return self + (-other)
-
-    def scale(self, x):
-        x = self.ctx.coerce(x)
-        if self.ctx.is_zero(x):
-            return Series1.zero(self.ctx, self.order, self.var)
-        return Series1(self.ctx, {i: c * x for i, c in self.coeffs.items()}, self.order, self.var)
-
-    def __mul__(self, other):
-        if not isinstance(other, Series1):
-            return self.scale(other)
-        self._check_compat(other)
-        if self.order is INF and other.order is INF:
-            order = INF
-        else:
-            va = min(self.coeffs) if self.coeffs else (
-                INF if self.order is INF else self.order + 1)
-            vb = min(other.coeffs) if other.coeffs else (
-                INF if other.order is INF else other.order + 1)
-            order = _norm_order(min(self.order + vb, other.order + va))
-        out = {}
-        for i, c in self.coeffs.items():
-            for k, d in other.coeffs.items():
-                if order is not INF and i + k > order:
-                    continue
-                key = i + k
-                out[key] = out.get(key, self.ctx.zero) + c * d
-        return Series1(self.ctx, out, order, self.var)
-
-    __rmul__ = __mul__
-
-    def derive(self) -> "Series1":
-        out = {}
-        for i, c in self.coeffs.items():
-            if i == 0:
-                continue
-            out[i - 1] = c * self.ctx.from_int(i)
-        order = self.order if self.order is INF else self.order - 1
-        return Series1(self.ctx, out, order, self.var)
-
-    def truncated(self, order):
-        if order >= self.order:
-            return self
-        return Series1(self.ctx, self.coeffs, order, self.var)
-
-    def eq_through(self, other) -> bool:
-        if not isinstance(other, Series1):
-            other = Series1.const(self.ctx, other, var=self.var)
-        self._check_compat(other)
-        order = min(self.order, other.order)
-        zero = self.ctx.zero
-        for i in set(self.coeffs) | set(other.coeffs):
-            if order is not INF and i > order:
-                continue
-            if not self.ctx.eq(self.coeffs.get(i, zero), other.coeffs.get(i, zero)):
-                return False
-        return True
-
-    def to_series2(self, which: int, names=("z1", "z2")) -> Series2:
-        if which == 1 and self.has_pole():
-            raise ValuationError("Laurent data must live in the first variable")
-        key = (lambda i: (i, 0)) if which == 0 else (lambda i: (0, i))
-        return Series2(self.ctx, {key(i): c for i, c in self.coeffs.items()},
-                       self.order, names)
-
-    def substitute(self, inner, order=None):
-        """Compose with a Series2 (returns Series2) or a Series1."""
-        if isinstance(inner, Series2):
-            return substitute_series1(self, inner, order)
-        if not isinstance(inner, Series1):
-            raise TypeError("inner must be Series1 or Series2")
-        lifted_inner = inner.to_series2(0, (inner.var, "_aux"))
-        return substitute_series1(self, lifted_inner, order).slice_z2_zero()
-
-    def __str__(self):
-        if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for i in sorted(self.coeffs):
-                c = self.ctx.fmt(self.coeffs[i])
-                parts.append(c if i == 0 else f"{c}*{self.var}^{i}")
-            body = " + ".join(parts)
-        tail = "" if self.order is INF else f" + O({self.var}^>{self.order})"
-        return body + tail
-
-    def __repr__(self):
-        return f"Series1({self})"
-
-
-def substitute_series1(f: Series1, p: Series2, order=None) -> Series2:
-    """Evaluate a one-variable (possibly Laurent) series at a Series2 point."""
-    return f.to_series2(0, p.names).substitute(p, Series2.zero(p.ctx, INF, p.names), order)
-
-
 class CoordMap:
     """A formal change of coordinates: two series components fixing the origin."""
 
@@ -796,19 +640,3 @@ def reverse_map(phi: CoordMap, order=None) -> CoordMap:
     psi1 = Series2(ctx, psi1.coeffs, order, names)
     psi2 = Series2(ctx, psi2.coeffs, order, names)
     return CoordMap(psi1, psi2)
-
-
-# -- functional alias matching the operation vocabulary --------------------
-
-def transcendental(s: Series2, op: str, exponent=None, order=None) -> Series2:
-    if op == "exp":
-        return s.exp(order)
-    if op == "log":
-        return s.log(order)
-    if op == "sqrt":
-        return s.sqrt(order)
-    if op == "pow":
-        if exponent is None:
-            raise ValueError("pow requires an exponent")
-        return s.pow_scalar(exponent, order)
-    raise ValueError(f"unknown transcendental operation {op!r}")

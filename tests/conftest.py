@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from symdiff2 import APPROX, EXACT, CoordMap, Series1, Series2
+from symdiff2 import APPROX, EXACT, INF, CoordMap, Series2
+
+P_NAMES = ("p", "z2")  # variables of the Laurent datum g(p)
 
 
 def rand_fraction(rnd: random.Random, small: int = 3) -> Fraction:
@@ -56,9 +58,22 @@ def tame(ctx) -> int:
     return 1 if ctx.name == "approx" else 3
 
 
-def rand_poly1(ctx, rnd: random.Random, deg: int = 4, nterms: int = 3, var="z1"):
+def axis_series(ctx, terms: dict, axis: int = 0, order=INF, names=("z1", "z2")):
+    """A one-variable series ``{exponent: value}`` as a Series2 on one axis."""
+    key = (lambda e: (e, 0)) if axis == 0 else (lambda e: (0, e))
+    return Series2.from_terms(ctx, {key(e): v for e, v in terms.items()}, order, names)
+
+
+def assert_refines(low, high):
+    """Raising the truncation keeps every coefficient ``low`` guarantees."""
+    assert low.order is not INF and low.order <= high.order
+    assert low.coeffs, "nothing guaranteed: the comparison would be vacuous"
+    assert low.eq_through(high)
+
+
+def rand_poly1(ctx, rnd: random.Random, deg: int = 4, nterms: int = 3, axis: int = 0):
     terms = {rnd.randint(0, deg): ctx.from_rational(rand_fraction(rnd)) for _ in range(nterms)}
-    return Series1(ctx, terms, float("inf"), var)
+    return axis_series(ctx, terms, axis)
 
 
 def rand_coordmap(ctx, rnd: random.Random, order: int = 8, names=("z1", "z2")) -> CoordMap:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from symdiff2 import APPROX, EXACT, NotSplit, Series1, Series2
+from symdiff2 import APPROX, EXACT, NotSplit, Series2
 from symdiff2.cli import run as cli_run
 from symdiff2.closedness import (
     brioschi_numerator,
@@ -38,7 +38,15 @@ from symdiff2.local_forms import (
     solve_singular_decomposition,
 )
 from symdiff2.scalars import GaussianRational
-from conftest import rand_coordmap, rand_fraction, rand_poly1, rand_poly2, rand_unit2
+from conftest import (
+    P_NAMES,
+    axis_series,
+    rand_coordmap,
+    rand_fraction,
+    rand_poly1,
+    rand_poly2,
+    rand_unit2,
+)
 
 TOL = 1e-9
 
@@ -53,8 +61,8 @@ def test_criterion_1_essential_singularity_oracle():
     dec = solve_singular_decomposition(v, 1)
     assert dec.k == 0
     assert dec.alpha == GaussianRational(0)
-    assert dec.f.eq_through(Series1.from_terms(EXACT, {-1: 1}))
-    assert dec.g.eq_through(Series1.from_terms(EXACT, {-1: -1}, var="p"))
+    assert dec.f.eq_through(axis_series(EXACT, {-1: 1}))
+    assert dec.g.eq_through(axis_series(EXACT, {-1: -1}, names=P_NAMES))
     assert dec.residual.is_zero() and dec.residual_zero
     elapsed = time.time() - t0
     assert elapsed < 1.0
@@ -122,15 +130,15 @@ def test_criterion_5_first_kind_equivalence_suite():
     rnd = random.Random(101)
     separable = 0
     while separable < 100:
-        A = rand_poly1(EXACT, rnd, var="z1")
-        B = rand_poly1(EXACT, rnd, var="z2")
-        A = A + (1 - A.coefficient(0))
-        B = B + (1 - B.coefficient(0))
-        g = (A.to_series2(0) * B.to_series2(1)).truncated(8)
+        A = rand_poly1(EXACT, rnd, axis=0)
+        B = rand_poly1(EXACT, rnd, axis=1)
+        A = A + (1 - A.coefficient(0, 0))
+        B = B + (1 - B.coefficient(0, 0))
+        g = (A * B).truncated(8)
         num = brioschi_numerator(SymTwoDiff(Series2.zero(EXACT), g, Series2.zero(EXACT)))
         assert num.is_zero()
         f, h = first_kind_decompose(g)  # must not raise
-        assert (f.to_series2(0) * h.to_series2(1)).eq_through(g)
+        assert (f * h).eq_through(g)
         separable += 1
     nonseparable = 0
     while nonseparable < 100:
@@ -157,12 +165,12 @@ def _roundtrip_case(ctx, rnd, m, order, exact):
     ftail = {i: rand_fraction(rnd) for i in rnd.sample(range(1, order - 3), 2)}
     gtail = {i: rand_fraction(rnd) for i in rnd.sample(range(1, order - 3), 2)}
     mk = (lambda q: GaussianRational(q)) if exact else (lambda q: complex(float(q)))
-    f = Series1(ctx, {i: mk(c) for i, c in {**fpole, **ftail}.items()}, order, "z1")
-    g = Series1(
+    f = axis_series(ctx, {i: mk(c) for i, c in {**fpole, **ftail}.items()}, order=order)
+    g = axis_series(
         ctx,
         {i: mk(c) for i, c in {**{i: -c for i, c in fpole.items()}, **gtail}.items()},
-        order,
-        "p",
+        order=order,
+        names=P_NAMES,
     )
     v = compose_singular_decomposition(ctx, k, alpha, f, g, m, order)
     dec = solve_singular_decomposition(v, m)
@@ -175,7 +183,7 @@ def _roundtrip_case(ctx, rnd, m, order, exact):
     assert dec.f.eq_through(f.truncated(dec.f.order))
     assert dec.g.eq_through(g.truncated(dec.g.order))
     assert dec.f.pole <= m and dec.g.pole <= m
-    assert all(i >= -m for i in dec.f.coeffs) and all(i >= -m for i in dec.g.coeffs)
+    assert all(i >= -m for i, _ in dec.f.coeffs) and all(i >= -m for i, _ in dec.g.coeffs)
 
 
 def test_criterion_6_decomposition_roundtrip_suite():

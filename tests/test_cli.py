@@ -1,6 +1,14 @@
 import json
 
-from symdiff2.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, EXIT_PRECISION, print_report, run
+from symdiff2.cli import (
+    EXIT_INPUT,
+    EXIT_NEGATIVE,
+    EXIT_OK,
+    EXIT_PRECISION,
+    MAX_NESTING,
+    print_report,
+    run,
+)
 
 
 def invoke(command, job, fmt="json"):
@@ -195,11 +203,44 @@ def test_exit_codes_for_input_errors():
         ({"truncation": 8, "backend": "exact",
           "w": {"a": "1", "b": "z1*z2", "c": "0"}, "components": ["z1-z1"]},
          "component that cancels to zero"),
+        ({"truncation": 8, "backend": "exact", "w": {"a": "z1^(1/0)", "b": "0", "c": "0"}},
+         "division by zero in an exponent"),
+        ({"truncation": 8, "backend": "exact",
+          "w": {"a": "z1^(0^(-1))", "b": "0", "c": "0"}},
+         "negative power of zero in an exponent"),
+        ({**ESSENTIAL, "base_shift": "1/0"}, "division by zero in base_shift"),
+        ({"truncation": 8, "backend": "exact",
+          "w": {"a": "z1^(10^400)", "b": "0", "c": "0"}},
+         "exact exponent beyond float range"),
+        ({"truncation": 8, "backend": "approx",
+          "w": {"a": "z1^(1e400)", "b": "0", "c": "0"}},
+         "approx exponent overflows"),
+        ({"truncation": 8, "backend": "exact",
+          "w": {"a": "(" * 300 + "z1" + ")" * 300, "b": "0", "c": "0"}},
+         "300 nested parentheses"),
+        ({"truncation": 8, "backend": "exact",
+          "w": {"a": "+".join(["z1"] * 3000), "b": "0", "c": "0"}},
+         "sum of 3000 terms"),
     ]
     for job, label in bad_jobs:
         code, rep = invoke("analyze", job)
         assert code == EXIT_INPUT, label
         assert "error" in rep, label
+    for backend, alpha in (("exact", "1/0"), ("approx", "1e400")):
+        code, rep = invoke("monodromy", {**ESSENTIAL, "backend": backend, "alpha": alpha})
+        assert code == EXIT_INPUT, alpha
+        assert "error" in rep, alpha
+
+
+def test_nesting_limit_refuses_only_deeper_expressions():
+    # a flat sum nests one level per term on the left
+    for terms, want in ((MAX_NESTING - 1, EXIT_OK), (MAX_NESTING + 1, EXIT_INPUT)):
+        job = {"truncation": 8, "backend": "exact",
+               "w": {"a": "+".join(["1"] * terms), "b": "0", "c": "1"}}
+        code, rep = invoke("closedness", job)
+        assert code == want, terms
+    code, rep = invoke("monodromy", {**ESSENTIAL, "alpha": "+".join(["1"] * 400)})
+    assert code == EXIT_OK and rep["results"]["monodromy"]["alpha"] == "400"
 
 
 def test_json_booleans_and_strings_are_not_integers_or_lists():

@@ -174,15 +174,15 @@ def test_first_kind_decompose_polynomial(ctx):
     z1, z2, one, zero = gens(ctx)
     g = (one + z1) * (one + z2)
     f, h = first_kind_decompose(g)
-    assert f.coefficient(0) == ctx.one and f.coefficient(1) == ctx.one
-    assert h.coefficient(0) == ctx.one and h.coefficient(1) == ctx.one
+    assert f.coefficient(0, 0) == ctx.one and f.coefficient(1, 0) == ctx.one
+    assert h.coefficient(0, 0) == ctx.one and h.coefficient(0, 1) == ctx.one
 
 
 def test_first_kind_decompose_exponential(ctx):
     z1, z2, one, zero = gens(ctx)
     g = (z1 + z2).truncated(10).exp(10)
     f, h = first_kind_decompose(g)
-    recomposed = f.to_series2(0) * h.to_series2(1)
+    recomposed = f * h
     assert recomposed.eq_through(g)
 
 
@@ -200,11 +200,11 @@ def test_first_kind_decompose_iff_defect_vanishes(exact_ctx):
     ctx = exact_ctx
     rnd = random.Random(12)
     for _ in range(25):
-        A = rand_poly1(ctx, rnd, var="z1")
-        B = rand_poly1(ctx, rnd, var="z2")
-        A = A + (1 - A.coefficient(0))
-        B = B + (1 - B.coefficient(0))
-        g = (A.to_series2(0) * B.to_series2(1)).truncated(8)
+        A = rand_poly1(ctx, rnd, axis=0)
+        B = rand_poly1(ctx, rnd, axis=1)
+        A = A + (1 - A.coefficient(0, 0))
+        B = B + (1 - B.coefficient(0, 0))
+        g = (A * B).truncated(8)
         assert separability_defect(g).is_zero()
         first_kind_decompose(g)  # must succeed
     for _ in range(25):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symdiff2 import APPROX, EXACT, Series1, Series2
+from symdiff2 import APPROX, EXACT, Series2
 from symdiff2.closedness import is_closed
 from symdiff2.differentials import SymTwoDiff
 from symdiff2.errors import (
@@ -27,7 +27,7 @@ from symdiff2.local_forms import (
     solve_singular_decomposition,
 )
 from symdiff2.scalars import GaussianRational
-from conftest import rand_fraction, rand_unit2
+from conftest import P_NAMES, assert_refines, axis_series, rand_fraction, rand_unit2
 
 
 def gens(ctx):
@@ -92,8 +92,8 @@ def test_leaf_chart_worked_example(exact_ctx):
     r = z1 * (one + z1 + z2 + z2 * z2)
     nf = leaf_chart(one.truncated(12), r)
     assert nf.m == 0
-    assert nf.s.eq_through(Series1.from_terms(ctx, {0: 1, 1: 1}))
-    assert nf.t.eq_through(Series1.from_terms(ctx, {1: 1, 2: 1}, var="z2"))
+    assert nf.s.eq_through(axis_series(ctx, {0: 1, 1: 1}))
+    assert nf.t.eq_through(axis_series(ctx, {1: 1, 2: 1}, axis=1))
     assert nf.gcorr.is_zero()
     # chart identity: z1 (1 + z2) pulled back equals r
     recon = nf.chart.comp1 * (one + nf.chart.comp2)
@@ -105,8 +105,8 @@ def test_leaf_chart_trivial(ctx):
     r = z1 * (one + z2)
     nf = leaf_chart(one.truncated(10), r)
     assert nf.m == 0
-    assert nf.s.eq_through(Series1.const(ctx, 1))
-    assert nf.t.eq_through(Series1.from_terms(ctx, {1: 1}, var="z2"))
+    assert nf.s.eq_through(axis_series(ctx, {0: 1}))
+    assert nf.t.eq_through(axis_series(ctx, {1: 1}, axis=1))
     assert nf.fout.eq_through(Series2.const(ctx, 1, order=nf.fout.order))
 
 
@@ -142,9 +142,7 @@ def test_leaf_chart_identity_random_units(exact_ctx):
         recon = nf.chart.comp1 * (one + mono.substitute(nf.chart.comp1, nf.chart.comp2) * nf.chart.comp2)
         assert recon.eq_through(r.truncated(recon.order))
         # u reproduction
-        s_v = nf.s.to_series2(0)
-        t_v = nf.t.to_series2(1)
-        u_back = s_v + Series2.monomial(ctx, nf.m, 0) * (t_v + z1 * nf.gcorr)
+        u_back = nf.s + Series2.monomial(ctx, nf.m, 0) * (nf.t + z1 * nf.gcorr)
         assert u_back.eq_through(r.div_monomial(1, 0).truncated(u_back.order))
         done += 1
 
@@ -158,8 +156,8 @@ def test_solver_essential_example(exact_ctx):
     dec = solve_singular_decomposition(v, 1)
     assert dec.k == 0
     assert dec.alpha == GaussianRational(0)
-    assert dec.f.eq_through(Series1.from_terms(ctx, {-1: 1}))
-    assert dec.g.eq_through(Series1.from_terms(ctx, {-1: -1}, var="p"))
+    assert dec.f.eq_through(axis_series(ctx, {-1: 1}))
+    assert dec.g.eq_through(axis_series(ctx, {-1: -1}, names=P_NAMES))
     assert dec.residual_zero
 
 
@@ -189,8 +187,8 @@ def test_solver_closed_exponential_chart(exact_ctx):
     v = eval_text("exp(z1*z2)", 10, ctx)
     dec = solve_singular_decomposition(v, 0)
     assert dec.residual_zero
-    assert dec.f.eq_through(Series1.from_terms(ctx, {1: -1}))
-    assert dec.g.eq_through(Series1.from_terms(ctx, {1: 1}, var="p"))
+    assert dec.f.eq_through(axis_series(ctx, {1: -1}))
+    assert dec.g.eq_through(axis_series(ctx, {1: 1}, names=P_NAMES))
     rep = is_closed(normal_form_triple(v, 0))
     assert rep.verdict == "yes"
 
@@ -211,10 +209,10 @@ def test_solver_closedness_consistency(exact_ctx):
     rnd = random.Random(15)
     for _ in range(10):
         m = rnd.randint(0, 2)
-        f = Series1(ctx, {i: GaussianRational(rand_fraction(rnd))
-                          for i in rnd.sample(range(1, 6), 2)}, 10, "z1")
-        g = Series1(ctx, {i: GaussianRational(rand_fraction(rnd))
-                          for i in rnd.sample(range(1, 6), 2)}, 10, "p")
+        f = axis_series(ctx, {i: GaussianRational(rand_fraction(rnd))
+                              for i in rnd.sample(range(1, 6), 2)}, order=10)
+        g = axis_series(ctx, {i: GaussianRational(rand_fraction(rnd))
+                              for i in rnd.sample(range(1, 6), 2)}, order=10, names=P_NAMES)
         v = compose_singular_decomposition(ctx, 0, GaussianRational(0), f, g, m, 10)
         dec = solve_singular_decomposition(v, m)
         assert dec.residual_zero
@@ -246,6 +244,21 @@ def test_solver_precision_guard(ctx):
         solve_singular_decomposition(one, 10)
 
 
+def test_solver_laurent_data_refine(exact_ctx):
+    # closed, m = 1: f = 1/z1 + z1/(1 - z1), g = -1/p + log(1 + p)/2, alpha = 1/3
+    text = ("exp(z2/(1+z1*z2)) * exp(z1/(1-z1)) * (1+z1+z1^2*z2)^(1/2)"
+            " * (1+z1*z2)^(1/3)")
+    decs = []
+    for N in (10, 14):
+        dec = solve_singular_decomposition(eval_text(text, N, exact_ctx), 1)
+        assert dec.residual_zero and dec.alpha == GaussianRational(Fraction(1, 3))
+        assert dec.f.pole == 1 and dec.g.pole == 1
+        decs.append(dec)
+    low, high = decs
+    assert_refines(low.f, high.f)
+    assert_refines(low.g, high.g)
+
+
 def test_solver_roundtrips_with_poles(exact_ctx):
     ctx = exact_ctx
     rnd = random.Random(16)
@@ -258,8 +271,9 @@ def test_solver_roundtrips_with_poles(exact_ctx):
                      for i in rnd.sample(range(1, 6), 2)}
             gtail = {i: GaussianRational(rand_fraction(rnd))
                      for i in rnd.sample(range(1, 6), 2)}
-            f = Series1(ctx, {**fpole, **ftail}, 10, "z1")
-            g = Series1(ctx, {**{i: -c for i, c in fpole.items()}, **gtail}, 10, "p")
+            f = axis_series(ctx, {**fpole, **ftail}, order=10)
+            g = axis_series(ctx, {**{i: -c for i, c in fpole.items()}, **gtail}, order=10,
+                            names=P_NAMES)
             v = compose_singular_decomposition(ctx, k, alpha, f, g, m, 10)
             dec = solve_singular_decomposition(v, m)
             assert dec.k == k
@@ -272,8 +286,8 @@ def test_solver_roundtrips_with_poles(exact_ctx):
 
 def test_compose_rejects_unmatched_poles(exact_ctx):
     ctx = exact_ctx
-    f = Series1.from_terms(ctx, {-1: 1})
-    g = Series1.from_terms(ctx, {-1: 1}, var="p")  # should be -1
+    f = axis_series(ctx, {-1: 1})
+    g = axis_series(ctx, {-1: 1}, names=P_NAMES)  # should be -1
     with pytest.raises(ValuationError):
         compose_singular_decomposition(ctx, 0, GaussianRational(0), f, g, 1, 10)
 
@@ -328,8 +342,8 @@ def _dec(ctx, k, alpha, f, g, m=1, order=10):
 
 def test_classify_leaf_essential(exact_ctx):
     ctx = exact_ctx
-    f = Series1.from_terms(ctx, {-1: 1})
-    g = Series1.from_terms(ctx, {-1: -1}, var="p")
+    f = axis_series(ctx, {-1: 1})
+    g = axis_series(ctx, {-1: -1}, names=P_NAMES)
     leaf = classify_leaf(_dec(ctx, 0, GaussianRational(0), f, g))
     assert leaf.singularity == "essential"
     assert leaf.monodromy.order_type == "trivial"
@@ -338,8 +352,8 @@ def test_classify_leaf_essential(exact_ctx):
 
 def test_classify_leaf_meromorphic(exact_ctx):
     ctx = exact_ctx
-    f = Series1.zero(ctx, 10)
-    g = Series1.zero(ctx, 10, "p")
+    f = Series2.zero(ctx, 10)
+    g = Series2.zero(ctx, 10, P_NAMES)
     leaf = classify_leaf(_dec(ctx, 0, GaussianRational(-1), f, g, m=0))
     assert leaf.singularity == "meromorphic"
     assert leaf.monodromy.order_type == "trivial"
@@ -348,8 +362,8 @@ def test_classify_leaf_meromorphic(exact_ctx):
 
 def test_classify_leaf_first_kind(exact_ctx):
     ctx = exact_ctx
-    f = Series1.from_terms(ctx, {1: 1, 2: Fraction(1, 3)}, var="z1")
-    g = Series1.from_terms(ctx, {1: -2}, var="p")
+    f = axis_series(ctx, {1: 1, 2: Fraction(1, 3)})
+    g = axis_series(ctx, {1: -2}, names=P_NAMES)
     leaf = classify_leaf(_dec(ctx, 2, GaussianRational(1), f, g, m=1))
     assert leaf.first_kind and not leaf.in_breakdown
     assert leaf.singularity == "none"
@@ -358,8 +372,8 @@ def test_classify_leaf_first_kind(exact_ctx):
 
 def test_classify_leaf_pure_monodromy(exact_ctx):
     ctx = exact_ctx
-    f = Series1.zero(ctx, 10)
-    g = Series1.zero(ctx, 10, "p")
+    f = Series2.zero(ctx, 10)
+    g = Series2.zero(ctx, 10, P_NAMES)
     leaf = classify_leaf(_dec(ctx, 0, GaussianRational(Fraction(1, 2)), f, g, m=0))
     assert leaf.singularity == "none"
     assert leaf.monodromy.order_type == "finite" and leaf.monodromy.order == 2
@@ -373,10 +387,10 @@ def test_products_of_holomorphic_closed_factors_are_first_kind(exact_ctx):
         m = rnd.randint(0, 2)
         k = rnd.randint(0, 2)
         # w = z1^k A(z1) dz1 * B(p) dp with A, B holomorphic units (const 1)
-        f = Series1(ctx, {i: GaussianRational(rand_fraction(rnd))
-                          for i in rnd.sample(range(1, 5), 2)}, 10, "z1")
-        g = Series1(ctx, {i: GaussianRational(rand_fraction(rnd))
-                          for i in rnd.sample(range(1, 5), 2)}, 10, "p")
+        f = axis_series(ctx, {i: GaussianRational(rand_fraction(rnd))
+                              for i in rnd.sample(range(1, 5), 2)}, order=10)
+        g = axis_series(ctx, {i: GaussianRational(rand_fraction(rnd))
+                              for i in rnd.sample(range(1, 5), 2)}, order=10, names=P_NAMES)
         v = compose_singular_decomposition(ctx, k, GaussianRational(k), f, g, m, 10)
         leaf = classify_leaf(solve_singular_decomposition(v, m))
         assert leaf.first_kind
@@ -422,6 +436,6 @@ def test_pipeline_essential_example(exact_ctx):
     assert res.normal_form.m == 1
     dec = res.decomposition
     assert dec.alpha == GaussianRational(0) and dec.k == 0
-    assert dec.f.eq_through(Series1.from_terms(EXACT, {-1: 1}))
-    assert dec.g.eq_through(Series1.from_terms(EXACT, {-1: -1}, var="p"))
+    assert dec.f.eq_through(axis_series(EXACT, {-1: 1}))
+    assert dec.g.eq_through(axis_series(EXACT, {-1: -1}, names=P_NAMES))
     assert res.leaf.singularity == "essential"

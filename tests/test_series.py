@@ -9,14 +9,12 @@ from symdiff2 import (
     INF,
     CoordMap,
     NotAUnit,
-    Series1,
     Series2,
     ValuationError,
     ZeroSeries,
     reverse_map,
-    transcendental,
 )
-from conftest import rand_coordmap, rand_fraction, rand_poly2, rand_unit2, tame
+from conftest import assert_refines, axis_series, rand_coordmap, rand_fraction, rand_poly2, rand_unit2, tame
 
 
 def gens(ctx):
@@ -124,10 +122,7 @@ def test_exp_log_roundtrip_example(ctx):
 
 def test_transcendental_dispatch(ctx):
     z1, z2, one = gens(ctx)
-    assert transcendental(one + z1, "log", order=6).eq_through((one + z1).log(6))
-    assert transcendental(z1, "exp", order=6).eq_through(z1.exp(6))
-    assert transcendental(one + z2, "sqrt", order=6).eq_through((one + z2).sqrt(6))
-    got = transcendental(one + z2, "pow", exponent=Fraction(1, 2), order=6)
+    got = (one + z2).pow_scalar(Fraction(1, 2), 6)
     assert got.eq_through((one + z2).sqrt(6))
 
 
@@ -210,16 +205,16 @@ def test_leibniz_and_mixed_partials(ctx):
 
 def test_substitute_polynomial(ctx):
     z1, z2, one = gens(ctx)
-    f = Series1.from_terms(ctx, {2: 1})
-    got = f.substitute(z1 + z2)
+    f = axis_series(ctx, {2: 1})
+    got = f.substitute(z1 + z2, Series2.zero(ctx))
     assert got.eq_through(z1 * z1 + (z1 * z2).scale(2) + z2 * z2)
 
 
 def test_substitute_laurent_geometric(ctx):
     z1, z2, one = gens(ctx)
     p = z1 * (one + z1 * z2)
-    f = Series1.from_terms(ctx, {-1: 1})
-    got = f.substitute(p, 8)
+    f = axis_series(ctx, {-1: 1})
+    got = f.substitute(p, Series2.zero(ctx), 8)
     expect = Series2.from_terms(
         ctx, {(k - 1, k): (-1) ** k for k in range(5)}, order=7
     )
@@ -238,6 +233,31 @@ def test_substitute_log_slice_expansion(exact_ctx):
     )
     assert L.eq_through(expect)
     assert L.eq_through(inner)
+
+
+def test_laurent_one_axis_substitution_refines(exact_ctx):
+    # the g(p) path: a Laurent series in one variable at p = z1 * (unit), inner2 = 0
+    ctx = exact_ctx
+    z1, z2, one = gens(ctx)
+    results = []
+    for N in (10, 14):
+        g = (z1 - z1 * z1).exp(N).div_monomial(2, 0).with_names(("p", "z2"))
+        assert g.pole == 2 and all(j == 0 for _, j in g.coeffs)
+        p = z1 * (z1 * z2).exp(N)
+        results.append(g.substitute(p, Series2.zero(ctx), N))
+    assert_refines(*results)
+
+
+def test_axis_slices_of_truncated_exp_refine(exact_ctx):
+    z1, z2, one = gens(exact_ctx)
+    lows, highs = [], []
+    for N, out in ((10, lows), (14, highs)):
+        e = (z1 - z2.scale(2) + z1 * z2).exp(N)
+        out.extend((e.slice_z2_zero(), e.slice_z1_zero()))
+        assert all(s.order == N for s in out)
+    assert all(j == 0 for _, j in lows[0].coeffs) and all(i == 0 for i, _ in lows[1].coeffs)
+    for low, high in zip(lows, highs):
+        assert_refines(low, high)
 
 
 def test_substitute_constant_shift_polynomial_only(ctx):
@@ -364,20 +384,19 @@ def test_exact_and_approx_agree(exact_ctx, approx_ctx):
 
 
 def test_series1_arithmetic(ctx):
-    f = Series1.from_terms(ctx, {-1: 1, 2: 3})
-    g = Series1.from_terms(ctx, {1: 1})
-    assert (f * g).coefficient(0) == ctx.from_int(1)
-    assert (f + g).coefficient(1) == ctx.from_int(1)
-    assert f.derive().coefficient(-2) == ctx.from_int(-1)
-    assert f.pole == 1 and f.has_pole()
-    two = f.to_series2(0)
-    assert two.coefficient(-1, 0) == ctx.from_int(1)
+    f = axis_series(ctx, {-1: 1, 2: 3})
+    g = axis_series(ctx, {1: 1})
+    assert (f * g).coefficient(0, 0) == ctx.from_int(1)
+    assert (f + g).coefficient(1, 0) == ctx.from_int(1)
+    assert f.derive(0).coefficient(-2, 0) == ctx.from_int(-1)
+    assert f.pole == 1
+    assert f.coefficient(-1, 0) == ctx.from_int(1)
 
 
 def test_series1_composition(ctx):
-    f = Series1.from_terms(ctx, {2: 1})
-    g = Series1.from_terms(ctx, {1: 1, 2: 1})
-    comp = f.substitute(g)
-    assert comp.coefficient(2) == ctx.from_int(1)
-    assert comp.coefficient(3) == ctx.from_int(2)
-    assert comp.coefficient(4) == ctx.from_int(1)
+    f = axis_series(ctx, {2: 1})
+    g = axis_series(ctx, {1: 1, 2: 1})
+    comp = f.substitute(g, Series2.zero(ctx))
+    assert comp.coefficient(2, 0) == ctx.from_int(1)
+    assert comp.coefficient(3, 0) == ctx.from_int(2)
+    assert comp.coefficient(4, 0) == ctx.from_int(1)

@@ -46,6 +46,7 @@ INPUT_ERRORS = (
     err.NotALeafPresentation,
     err.DivisionFailure,
     ValueError,
+    OverflowError,
     KeyError,
     TypeError,
 )
@@ -509,12 +510,7 @@ def run(argv, stdin_text: str | None = None):
         report["error"] = _error_body(exc)
         code = EXIT_INPUT
     except NEGATIVE_ERRORS as exc:
-        body = _error_body(exc)
-        if isinstance(exc, err.NotSplit):
-            body["witness"] = exc.witness
-            body["odd_multiplicity"] = exc.multiplicity
-            body["suggested_cover_degree"] = 2
-        report["error"] = body
+        report["error"] = _error_body(exc)
         code = EXIT_NEGATIVE
     except PRECISION_ERRORS as exc:
         report["error"] = _error_body(exc)

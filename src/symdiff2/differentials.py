@@ -14,10 +14,10 @@ splitting, core discriminant, component classification), as are the
 multiplicities measured along each component series.
 
 Component multiplicities are computed by exact division in the local series
-ring.  Division and the square root behind splitting share one graded solve,
-with one exact homogeneous division per degree.  Irreducible components are
-supplied explicitly as polynomials (the coordinate axes in all the worked
-cases); no factorization is attempted.
+ring.  Division and the square root behind splitting, of a unit or not, call
+the graded solver of ``series`` with one exact homogeneous division per
+degree.  Irreducible components are supplied explicitly as polynomials (the
+coordinate axes in all the worked cases); no factorization is attempted.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .errors import (
     SingularJacobian,
     ValuationError,
 )
-from .series import DEFAULT_ORDER, INF, CoordMap, Series2
+from .series import (DEFAULT_ORDER, INF, CoordMap, Series2, _forms, _from_forms,
+                     _graded_solve)
 
 
 @dataclass(frozen=True)
@@ -156,66 +157,6 @@ def rank(w: SymTwoDiff):
 # -- local-ring division ----------------------------------------------------
 
 
-def _homog_div(R: dict, H: dict, ctx, qdeg_max: int):
-    """Divide homogeneous slices, encoded as x-exponent -> coefficient."""
-    Q = {}
-    R = dict(R)
-    hmax = max(H)
-    hlead_inv = ctx.inv(H[hmax])
-    while R:
-        rmax = max(R)
-        qe = rmax - hmax
-        if qe < 0 or qe > qdeg_max:
-            return None
-        qc = R[rmax] * hlead_inv
-        Q[qe] = qc
-        for he, hc in H.items():
-            k = he + qe
-            nv = R.get(k, ctx.zero) - qc * hc
-            if ctx.is_zero(nv):
-                R.pop(k, None)
-            else:
-                R[k] = nv
-    return Q
-
-
-def _forms(s: Series2, lo: int, hi: int) -> list:
-    """The homogeneous parts of ``s`` of degrees lo..hi, in x-encoding."""
-    parts = [{} for _ in range(lo, hi + 1)]
-    for (i, j), c in s.coeffs.items():
-        if lo <= i + j <= hi:
-            parts[i + j - lo][i] = c
-    return parts
-
-
-def _graded_solve(s: Series2, target, lead, solved, qdeg, cross=None):
-    """Extend ``solved`` (forms q_e of degree qdeg + e, x-encoded) so that
-    target_e = lead * q_e + sum_{k>=1} cross_k * q_{e-k} at every degree e of
-    ``target``, by one exact homogeneous division per degree (Brent & Kung,
-    J. ACM 25, 1978).  ``cross`` is the divisor's parts for a quotient and q
-    itself by default, for a square root with lead 2 q_0.  Returns q as a
-    series of order INF, or None when a division fails."""
-    ctx = s.ctx
-    q = list(solved)
-    cross = q if cross is None else cross
-    for e in range(len(q), len(target)):
-        acc = dict(target[e])
-        for k in range(min(e, len(cross) - 1), 0, -1):
-            for x2, c2 in q[e - k].items():
-                for x1, c1 in cross[k].items():
-                    nv = acc.get(x1 + x2, ctx.zero) - c2 * c1
-                    if ctx.is_zero(nv):
-                        acc.pop(x1 + x2, None)
-                    else:
-                        acc[x1 + x2] = nv
-        qe = _homog_div(acc, lead, ctx, qdeg + e)
-        if qe is None:
-            return None
-        q.append(qe)
-    terms = {(x, qdeg + e - x): c for e, form in enumerate(q) for x, c in form.items()}
-    return Series2(ctx, terms, INF, s.names)
-
-
 def _bound(s: Series2, order):
     """The degree through which s / h or sqrt(s) is solved; never past s.order."""
     if order is not None:
@@ -251,48 +192,41 @@ def try_divide(s: Series2, h: Series2, order=None):
     if s.valuation < min(d, bound + 1):  # a term below h's lowest degree
         return None
     hparts = _forms(h, d, max(d, bound))
-    q = _graded_solve(s, _forms(s, d, bound), hparts[0], [], 0, hparts)
-    if q is None or s.order is INF and (q * h).eq_through(s):
+    forms = _graded_solve(ctx, _forms(s, d, bound), hparts[0], [], hparts)
+    if forms is None:
+        return None
+    q = _from_forms(ctx, forms, 0, INF, s.names)
+    if s.order is INF and (q * h).eq_through(s):
         return q
     return q.truncated(bound - d)
 
 
 def _homog_sqrt(F: dict, ctx):
-    """Square root of a homogeneous slice in x-encoding, or None for an odd top
-    x-exponent.  Only the upper half is matched; the caller checks the square.
+    """Square root of a form in x-encoding, or None when it is not a square.
 
-    May raise ExactValueError when the leading coefficient has no square
-    root in the exact scalar domain.
+    In y = top - x the root is a power series from sqrt(F[top]); F is a square
+    exactly when that series, solved through y^top, stops at y^(top/2).  May
+    raise ExactValueError when sqrt(F[top]) is not an exact scalar.
     """
     top = max(F)
     if top % 2:
         return None
     m = top // 2
     lead = ctx.sqrt(F[top])
-    p = {m: lead}
-    inv2lead = ctx.inv(lead * ctx.from_int(2))
-    for s in range(top - 1, m - 1, -1):
-        e = s - m
-        acc = F.get(s, ctx.zero)
-        for j, cj in list(p.items()):
-            k = s - j
-            if k in p and j > e and k > e:
-                if j <= k:  # count each unordered pair once
-                    term = cj * p[k]
-                    acc = acc - (term if j == k else term * ctx.from_int(2))
-        coeff = acc * inv2lead
-        if not ctx.is_zero(coeff):
-            p[e] = coeff
-    return p
+    rev = [{0: F[top - e]} if top - e in F else {} for e in range(top + 1)]
+    p = _graded_solve(ctx, rev, lead * ctx.from_int(2), [{0: lead}])
+    if any(not ctx.is_zero(c) for form in p[m + 1:] for c in form.values()):
+        return None
+    return {m - e: c for e, form in enumerate(p[: m + 1]) for c in form.values()}
 
 
 def perfect_square_root(s: Series2, order=None):
     """A series delta with delta^2 = s through the guaranteed order, or None.
 
-    Works degree by degree from the lowest homogeneous form, which must be a
-    perfect square of a homogeneous polynomial; each correction solves an
-    exact homogeneous division by that square root.  This covers square
-    discriminants whose vanishing is not aligned with the coordinate axes.
+    The lowest form of s must be the square of a form; each higher degree of
+    delta is one exact homogeneous division by twice that root, so delta^2 = s
+    wherever the solve succeeds.  This covers units and square discriminants
+    whose vanishing is not aligned with the coordinate axes.
     """
     ctx = s.ctx
     if s.is_zero() or s.pole:
@@ -306,13 +240,12 @@ def perfect_square_root(s: Series2, order=None):
     root = _homog_sqrt(target[0], ctx)
     if root is None:
         return None
-    two = ctx.from_int(2)
-    delta = _graded_solve(s, target, {e: c * two for e, c in root.items()}, [root], d)
-    if delta is not None:
-        delta = delta.truncated(bound - d)
-        if (delta * delta).eq_through(s.truncated(bound)):
-            return delta
-    return None
+    lead = {x: c * ctx.from_int(2) for x, c in root.items()}
+    forms = _graded_solve(ctx, target, lead, [root], qdeg=d)
+    if forms is None:
+        return None
+    exact = s.order is INF and len(s.coeffs) == 1  # the root of a monomial
+    return _from_forms(ctx, forms, d, INF if exact else bound - d, s.names)
 
 
 def multiplicity(s: Series2, h: Series2) -> int:
@@ -442,20 +375,12 @@ def split(w: SymTwoDiff):
             raise NotSplit(names[0], k1)
         if k2 % 2:
             raise NotSplit(names[1], k2)
-        Q = D.div_monomial(k1, k2)
-        if Q.is_unit:
-            if len(Q.coeffs) == 1:
-                root = Series2.const(ctx, ctx.sqrt(Q.constant_term), Q.order, names)
-            else:
-                root = Q.sqrt()
-        else:
-            # non-axis vanishing: try a graded perfect-square root
-            root = perfect_square_root(Q)
-            if root is None:
-                raise Inconclusive(
-                    "b^2 - 4ac is not a perfect series square after removing "
-                    "axis powers; cannot certify a splitting"
-                )
+        root = perfect_square_root(D.div_monomial(k1, k2))
+        if root is None:
+            raise Inconclusive(
+                "b^2 - 4ac is not a perfect series square after removing "
+                "axis powers; cannot certify a splitting"
+            )
         delta = root * Series2.monomial(ctx, k1 // 2, k2 // 2, names=names)
         half = ctx.from_rational(Fraction(1, 2))
         if a.is_unit:

@@ -546,9 +546,17 @@ def _series_div(num: Series2, den: Series2, order) -> Series2:
     return num * inv
 
 
+def _finite(s: Series2) -> Series2:
+    """``s``, refused when a float coefficient overflowed to inf or nan."""
+    if any(isinstance(c, complex) and not cmath.isfinite(c) for c in s.coeffs.values()):
+        raise ValueError("a coefficient is not a finite number")
+    return s
+
+
 def eval_normalized(node, ctx: ScalarContext, order: int):
     """Evaluate to ``(series, unit constant)`` with the constant factored out."""
-    return _evn(node, ctx, order)
+    s, c = _evn(node, ctx, order)
+    return _finite(s), c
 
 
 def _lit_value(ctx, lit: ScalarLit):
@@ -640,9 +648,7 @@ def _evn(node, ctx, order):
 def eval_ast(node, order: int, ctx: ScalarContext) -> Series2:
     """Evaluate an AST into a Series2 through the requested order."""
     s, c = _evn(node, ctx, order)
-    if c.is_trivial(ctx):
-        return s
-    return s.scale(c.collapse(ctx))
+    return _finite(s if c.is_trivial(ctx) else s.scale(c.collapse(ctx)))
 
 
 def eval_text(text: str, order: int, ctx: ScalarContext) -> Series2:

@@ -120,9 +120,13 @@ def order_of_contact(r: Series2) -> int:
     """Contact order of the two foliations along the leaf {v1 = 0}.
 
     ``r`` must present the leaf as r = v1 * (unit); the value is one less
-    than the order of dr/dv2 along the leaf.
+    than the order of dr/dv2 along the leaf.  An r or dr/dv2 that vanishes
+    identically presents no leaf; one that vanishes only through a finite
+    guaranteed order raises ZeroSeries.
     """
     if r.is_zero():
+        if r.order is INF:
+            raise NotALeafPresentation("first integral vanishes identically")
         raise ZeroSeries("first integral vanishes through the guaranteed order")
     if r.ord_along_axis(0) != 1:
         raise NotALeafPresentation("first integral is not v1 * (unit)")
@@ -131,6 +135,8 @@ def order_of_contact(r: Series2) -> int:
         raise NotALeafPresentation("first integral is not v1 * (unit)")
     dr = r.derive(1)
     if dr.is_zero():
+        if dr.order is INF:
+            raise NotALeafPresentation("dr/dv2 vanishes identically")
         raise ZeroSeries(
             "dr/dv2 vanishes through the guaranteed order; "
             "raise the truncation or check the presentation"

@@ -14,12 +14,15 @@ through ``min(Na + val(b), Nb + val(a))``, a derivative loses one degree,
 dividing by ``z1^k`` loses ``k``.  Consuming more precision than guaranteed
 raises instead of silently truncating.
 
-``invert_unit``, ``exp``, ``log``, ``sqrt`` and fractional ``pow_scalar`` are
-solved degree by degree from one recurrence of the Euler operator
-``z1*d/dz1 + z2*d/dz2`` (Brent-Kung for exp/log, J.C.P. Miller for powers),
-which costs about one truncated product instead of one per degree.  Its
-degree-d equation reads only input parts of degree <= d, so the result is
-guaranteed through exactly the order the series sums guaranteed.
+One graded solver finds every series fixed degree by degree: at degree e it
+divides a target part plus weighted cross terms of lower degrees by a leading
+scalar or form.  With the weights of the Euler operator ``z1*d/dz1 +
+z2*d/dz2`` (Brent-Kung for exp/log, J.C.P. Miller for powers) it gives
+``invert_unit``, ``exp``, ``log``, ``sqrt`` and fractional ``pow_scalar`` for
+about one truncated product; with weight -1 and a leading form it gives the
+local-ring quotients and square roots of ``differentials``.  Degree d reads
+only input parts of degree <= d, so a result is guaranteed through exactly the
+order of its input.
 
 A one-variable series (a slice along an axis, or the Laurent data along the
 leaf) is a :class:`Series2` whose terms lie on one axis.  :class:`CoordMap`
@@ -380,28 +383,11 @@ class Series2:
         P_0 = 1 (0 if log).  For U_0 = 1, (a, b) = (1, 0) gives exp(U - 1),
         (alpha + 1, 1) gives U**alpha and (1, 1) with log gives log(U)."""
         ctx = self.ctx
-        parts = [[] for _ in range(order + 1)]
-        for (i, j), c in self.coeffs.items():
-            if 0 < i + j <= order:
-                parts[i + j].append((i, j, c))
-        solved = [[] if log else [(0, 0, ctx.one)]]
-        for d in range(1, order + 1):
-            acc = {(i, j): c for i, j, c in parts[d]} if log else {}
-            dinv = ctx.from_rational(Fraction(1, d))
-            for k in range(1, d + 1):
-                lower = solved[d - k]
-                w = (a * k - b * d) * dinv
-                if not parts[k] or not lower or not w:
-                    continue
-                for i1, j1, c1 in parts[k]:
-                    c1 = c1 * w
-                    for i2, j2, c2 in lower:
-                        key = (i1 + i2, j1 + j2)
-                        p = c1 * c2
-                        acc[key] = acc[key] + p if key in acc else p
-            solved.append([(i, j, c) for (i, j), c in acc.items() if c])
-        out = {(i, j): c for part in solved for i, j, c in part}
-        return Series2(ctx, out, order, self.names)
+        parts = _forms(self, 0, order)
+        target = parts if log else [{}] * (order + 1)
+        start = [{} if log else {0: ctx.one}]
+        solved = _graded_solve(ctx, target, ctx.one, start, parts, (a, b))
+        return _from_forms(ctx, solved, 0, order, self.names)
 
     # -- composition ----------------------------------------------------
 
@@ -523,6 +509,85 @@ class Series2:
 
     def __repr__(self):
         return f"Series2({self})"
+
+
+def _forms(s: Series2, lo: int, hi: int) -> list:
+    """The homogeneous parts of ``s`` of degrees lo..hi as {z1-exponent: c}."""
+    parts = [{} for _ in range(lo, hi + 1)]
+    for (i, j), c in s.coeffs.items():
+        if lo <= i + j <= hi:
+            parts[i + j - lo][i] = c
+    return parts
+
+
+def _from_forms(ctx, forms, qdeg, order, names) -> Series2:
+    """The series whose part of degree qdeg + e is ``forms[e]``."""
+    terms = {(x, qdeg + e - x): c for e, f in enumerate(forms) for x, c in f.items()}
+    return Series2(ctx, terms, order, names)
+
+
+def _homog_div(R: dict, H: dict, ctx, qdeg_max: int):
+    """The exact quotient R / H of two forms as {z1-exponent: c}, or None when
+    H does not divide R or the quotient needs a z1-exponent above qdeg_max."""
+    Q = {}
+    R = {x: c for x, c in R.items() if not ctx.is_zero(c)}
+    hmax = max(H)
+    hlead_inv = ctx.inv(H[hmax])
+    while R:
+        rmax = max(R)
+        qe = rmax - hmax
+        if qe < 0 or qe > qdeg_max:
+            return None
+        qc = R[rmax] * hlead_inv
+        Q[qe] = qc
+        for he, hc in H.items():
+            k = he + qe
+            nv = R.get(k, ctx.zero) - qc * hc
+            if ctx.is_zero(nv):
+                R.pop(k, None)
+            else:
+                R[k] = nv
+    return Q
+
+
+def _graded_solve(ctx, target, lead, solved, cross=None, euler=None, qdeg=0):
+    """Extend the forms ``solved`` (q_e of degree qdeg + e, as {z1-exponent: c})
+    through the degrees of ``target`` by Brent & Kung's (J. ACM 25, 1978)
+    lead * q_e = target_e + sum_{k>=1} w(k, e) * cross_k * q_{e-k}.
+
+    w is the Euler weight (a*k - b*e)/e for ``euler = (a, b)`` (exp, log,
+    powers), else -1 (quotients, roots).  ``lead`` is a scalar, or a form
+    divided out exactly at each degree; ``cross`` defaults to q itself (a
+    square root, lead 2*q_0).  None when a division by the form fails.
+    """
+    q = list(solved)
+    square = cross is None
+    cross = q if square else cross
+    scale = None if isinstance(lead, dict) or lead == ctx.one else ctx.inv(lead)
+    for e in range(len(q), len(target)):
+        acc = dict(target[e])
+        einv = ctx.from_rational(Fraction(1, e)) if euler else None
+        for k in range(1, (e // 2 if square else min(e, len(cross) - 1)) + 1):
+            lower, part = q[e - k], cross[k]
+            w = (euler[0] * k - euler[1] * e) * einv if euler else None
+            if not lower or not part or (euler and not w):
+                continue
+            twice = square and 2 * k < e  # q_k q_{e-k} stands for q_{e-k} q_k too
+            for x1, c1 in part.items():
+                c1 = -c1 if w is None else c1 * w
+                c1 = c1 + c1 if twice else c1
+                for x2, c2 in lower.items():
+                    key = x1 + x2
+                    p = c1 * c2
+                    acc[key] = acc[key] + p if key in acc else p
+        if isinstance(lead, dict):
+            qe = _homog_div(acc, lead, ctx, qdeg + e)
+            if qe is None:
+                return None
+        else:
+            qe = {x: c if scale is None else c * scale for x, c in acc.items() if c}
+        q.append(qe)
+    return q
 
 
 def _as_int(e):

@@ -215,6 +215,17 @@ def test_exit_codes_for_input_errors():
         ({"truncation": 8, "backend": "approx",
           "w": {"a": "z1^(1e400)", "b": "0", "c": "0"}},
          "approx exponent overflows"),
+        ({"truncation": 8, "backend": "approx", "w": {"a": "1e400*z1", "b": "0", "c": "1"}},
+         "approx literal overflows"),
+        ({"truncation": 8, "backend": "approx",
+          "w": {"a": "1e200*1e200*z1", "b": "0", "c": "1"}},
+         "approx product overflows"),
+        ({"truncation": 8, "backend": "approx",
+          "w": {"a": "(1e200*z1+1)^2", "b": "0", "c": "1"}},
+         "approx power overflows"),
+        ({"truncation": 8, "backend": "approx",
+          "w": {"scale": "exp(1000+z1)", "u": "z1", "r": "z1*(1+z2)"}},
+         "approx exp overflows"),
         ({"truncation": 8, "backend": "exact",
           "w": {"a": "(" * 300 + "z1" + ")" * 300, "b": "0", "c": "0"}},
          "300 nested parentheses"),
@@ -271,7 +282,7 @@ def test_remaining_error_conditions_reach_the_cli():
                        "w": {"scale": "1", "u": "z1", "r": "1+z1"}},
          "NotALeafPresentation", EXIT_INPUT),
         ("theorem26", {"truncation": 10, "backend": "exact",
-                       "w": {"scale": "1", "u": "z1", "r": "z1"}},
+                       "w": {"scale": "1", "u": "z1", "r": "z1*exp(z2^12)"}},
          "ZeroSeries", EXIT_PRECISION),
         ("classify", {"truncation": 10, "backend": "exact",
                       "w": {"a": "1", "b": "z1*z2", "c": "0"},
@@ -281,10 +292,16 @@ def test_remaining_error_conditions_reach_the_cli():
                        "w": {"scale": "1/z1", "u": "z1", "r": "z1*(1+z2)"}},
          "ValuationError", EXIT_INPUT),
     ]
+    # r = z1 does not depend on z2; like r = z1^2 it presents no leaf
+    for r in ("z1", "z1^2"):
+        for cmd in ("theorem26", "normal-form", "analyze"):
+            cases.append((cmd, {"truncation": 10, "backend": "exact",
+                                "w": {"scale": "1", "u": "z1", "r": r}},
+                          "NotALeafPresentation", EXIT_INPUT))
     for cmd, job, expect, want_code in cases:
         code, rep = invoke(cmd, job)
-        assert code == want_code, expect
-        assert rep["error"]["type"] == expect
+        assert code == want_code, (cmd, expect)
+        assert rep["error"]["type"] == expect, cmd
 
 
 def test_split_lowest_form_with_odd_top_exponent_is_not_a_square():

@@ -22,9 +22,10 @@ import random
 
 import pytest
 
-from symdiff2 import DEFAULT_ORDER, EXACT, INF, Series2
-from symdiff2.differentials import perfect_square_root, try_divide
+from symdiff2 import APPROX, DEFAULT_ORDER, EXACT, INF, Series2, SymTwoDiff
+from symdiff2.differentials import perfect_square_root, split, try_divide
 from symdiff2.errors import DivisionFailure, ExactValueError, ValuationError
+from symdiff2.expressions import DifferentialInput
 
 from conftest import rand_poly2, rand_scalar
 
@@ -340,3 +341,40 @@ def test_perfect_square_root_refines(N):
         roots.append(root)
     low, high = roots
     assert low.eq_through(high)
+
+
+# -- units: the root of a unit is its series square root --------------------
+
+# coefficient triples whose b^2 - 4ac has constant term 4; the first has
+# coefficients just below the approx tolerance at N = 20, which a check of the
+# full square used to refuse, and the last is a polynomial
+UNIT_DISCRIMINANTS = [
+    {"a": "-(1-z1-z2)", "b": "z2*exp(z1)", "c": "1+2*z1-z2^2"},
+    {"a": "1+z1/2-z2", "b": "-z2*exp(-z1)", "c": "-(1-z1+z2^2)"},
+    {"a": "1", "b": "2+z1-z2^3", "c": "z2*(1+z1)"},
+]
+
+
+@pytest.mark.parametrize("ctx", (EXACT, APPROX), ids=("exact", "approx"))
+def test_perfect_square_root_of_a_unit_is_its_sqrt(ctx):
+    for coefficients in UNIT_DISCRIMINANTS:
+        for N in range(8, 25):
+            w = SymTwoDiff(*DifferentialInput.from_strings(coefficients)
+                           .coefficient_triple(ctx, N))
+            Q = w.disc.scale(-4)
+            root, want = perfect_square_root(Q), Q.sqrt()
+            assert root is not None, (coefficients, N)
+            assert root.order == want.order
+            assert root.eq_through(want), (coefficients, N)
+
+
+def test_root_of_an_exact_monomial_is_exact():
+    z1 = Series2.variable(EXACT, 0)
+    z2 = Series2.variable(EXACT, 1)
+    root = perfect_square_root((z1 * z2 * z2).scale(2) * (z1 * z2 * z2).scale(2))
+    assert root.order is INF and root.coeffs == {(1, 2): EXACT.from_int(2)}
+    assert perfect_square_root(z1 * z2 * z2) is None
+    # so a discriminant that is a monomial splits into exact factors
+    one, zero = Series2.const(EXACT, 1), Series2.zero(EXACT)
+    for mu in split(SymTwoDiff(one, zero, -(z2 * z2))):
+        assert mu.A.order is INF and mu.B.order is INF

@@ -62,8 +62,14 @@ def test_order_of_contact_errors(ctx):
         order_of_contact(z1 * z1 * (one + z2))
     with pytest.raises(NotALeafPresentation):
         order_of_contact(z1 * (z2 + z1))
-    with pytest.raises(ZeroSeries):
-        order_of_contact(z1 * (one + z1))
+    # r or dr/dv2 vanishing identically presents no leaf; vanishing only
+    # through a finite guaranteed order asks for a higher truncation
+    for r in (z1 * (one + z1), Series2.zero(ctx)):
+        with pytest.raises(NotALeafPresentation):
+            order_of_contact(r)
+    for r in ((z1 * (one + z1)).truncated(6), Series2.zero(ctx, 6)):
+        with pytest.raises(ZeroSeries):
+            order_of_contact(r)
 
 
 def test_order_of_contact_invariance_under_unit_rescaling(exact_ctx):

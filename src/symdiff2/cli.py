@@ -93,7 +93,7 @@ def _series_summary(s):
     }
 
 
-def _series1_table(s):
+def _axis_table(s):
     """A one-axis series as {exponent: coefficient}; the other exponent is 0."""
     return {str(i + j): s.ctx.fmt(c) for (i, j), c in sorted(s.coeffs.items())}
 
@@ -131,8 +131,8 @@ def _decomposition_summary(dec, ctx):
         "k": dec.k,
         "m": dec.m,
         "alpha": ctx.fmt(dec.alpha),
-        "f": _series1_table(dec.f),
-        "g": _series1_table(dec.g),
+        "f": _axis_table(dec.f),
+        "g": _axis_table(dec.g),
         "gauge": "g0 = 0",
         "residual_zero": dec.residual_zero,
         "residual": _series_summary(dec.residual),
@@ -142,8 +142,8 @@ def _decomposition_summary(dec, ctx):
 def _normal_form_summary(nf, ctx):
     return {
         "m": nf.m,
-        "s": _series1_table(nf.s),
-        "t": _series1_table(nf.t),
+        "s": _axis_table(nf.s),
+        "t": _axis_table(nf.t),
         "gcorr": _series_summary(nf.gcorr),
         "chart_z1": _series_summary(nf.chart.comp1),
         "chart_z2": _series_summary(nf.chart.comp2),
@@ -320,8 +320,8 @@ def _run_decompose(job: Job, results, warnings):
         return EXIT_NEGATIVE
     results["decompose"] = {
         "status": "separable",
-        "f": _series1_table(f),
-        "h": _series1_table(h),
+        "f": _axis_table(f),
+        "h": _axis_table(h),
         "gauge": "constant absorbed into f",
     }
     return EXIT_OK

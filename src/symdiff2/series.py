@@ -24,6 +24,12 @@ local-ring quotients and square roots of ``differentials``.  Degree d reads
 only input parts of degree <= d, so a result is guaranteed through exactly the
 order of its input.
 
+Composition ``s(inner1, inner2)`` needs inner series that fix the origin and
+is one Horner evaluation over power series, guaranteed through
+``min(order, s.order)`` where the inner series' orders allow.  A Laurent ``s``
+with pole P needs ``inner1 = z1 * (unit)`` and is composed as the power series
+``z1^P * s``; dividing back by z1^P leaves ``min(order - P, s.order)``.
+
 A one-variable series (a slice along an axis, or the Laurent data along the
 leaf) is a :class:`Series2` whose terms lie on one axis.  :class:`CoordMap`
 packages a pair of series as a formal change of coordinates with composition
@@ -392,100 +398,62 @@ class Series2:
     # -- composition ----------------------------------------------------
 
     def substitute(self, inner1: "Series2", inner2: "Series2", order=None) -> "Series2":
-        """Formal composition s(inner1, inner2).
+        """Formal composition s(inner1, inner2); both inner series must fix
+        the origin.
 
-        Both inner series must fix the origin, except that an exact
-        finitely-supported outer series may be recentered (nonzero inner
-        constants are then legal and the result stays exact).  A Laurent
-        outer series additionally needs ``inner1 = z1 * (unit)`` so that
-        negative powers expand through ``invert_unit``.
+        A power series is Horner's rule in inner1 over rows that are Horner
+        sums in inner2 (Brent & Kung, J. ACM 25, 1978), guaranteed through
+        ``min(order, self.order)`` as far as the inner series' orders allow.
+        A Laurent series with pole P needs ``inner1 = z1 * u`` with u a unit:
+        ``z1^P * self`` is composed, multiplied by ``u^-P`` and divided by
+        ``z1^P``, so the result is guaranteed through
+        ``min(order - P, self.order)``.
         """
         inner1._check_compat(inner2)
-        if self.ctx != inner1.ctx:
+        ctx = self.ctx
+        if ctx != inner1.ctx:
             raise BackendMismatch("backend mismatch in substitution")
-        const_shift = not (
-            inner1.ctx.is_zero(inner1.constant_term)
-            and inner2.ctx.is_zero(inner2.constant_term)
-        )
-        if const_shift and self.order is not INF:
-            raise ValuationError(
-                "inner series has a nonzero constant term against an "
-                "infinite-tail outer series"
-            )
-        inv1 = None
-        if any(i < 0 for (i, _) in self.coeffs):
-            u = None
-            if not inner1.is_zero() and min(i for (i, _) in inner1.coeffs) >= 1:
-                u = inner1.div_monomial(1, 0)
-            if u is None or not u.is_unit:
+        if not (ctx.is_zero(inner1.constant_term) and ctx.is_zero(inner2.constant_term)):
+            raise ValuationError("inner series must fix the origin")
+        P = self.pole
+        if P:
+            u = inner1.div_monomial(1, 0)
+            if not u.is_unit:
                 raise ValuationError(
                     "Laurent substitution needs inner1 of the form z1*(unit)"
                 )
-            inv1 = u.invert_unit(order) * Series2.monomial(
-                u.ctx, -1, 0, names=u.names
-            )
-        target = order
-        if self.order is not INF:
-            target = self.order if target is None else min(target, self.order)
-
+            lifted = self.div_monomial(-P, 0).substitute(inner1, inner2, order)
+            return (lifted * u._int_pow(-P, order)).div_monomial(P, 0)
+        top = min(INF if order is None else order, self.order)
         names = inner1.names
-        ctx = self.ctx
-        one = Series2.const(ctx, ctx.one, INF if target is None else target, names)
-
-        def trunc(s):
-            return s if target is None else s.truncated(target)
-
-        pow2_cache = {0: one}
+        powers2 = [Series2.const(ctx, ctx.one, top, names)]
 
         def pow2(n):
-            if n not in pow2_cache:
-                best = max(k for k in pow2_cache if k <= n)
-                p = pow2_cache[best]
-                for k in range(best + 1, n + 1):
-                    p = trunc(p * inner2)
-                    pow2_cache[k] = p
-            return pow2_cache[n]
+            while len(powers2) <= n:
+                powers2.append((powers2[-1] * inner2).truncated(top))
+            return powers2[n]
+
+        def eval_row(jmap):
+            js = sorted(jmap, reverse=True)
+            acc = Series2.const(ctx, jmap[js[0]], top, names)
+            for hi, lo in zip(js, js[1:]):
+                acc = (acc * pow2(hi - lo)).truncated(top) + jmap[lo]
+            return (acc * pow2(js[-1])).truncated(top) if js[-1] else acc
 
         rows = {}
         for (i, j), c in self.coeffs.items():
             rows.setdefault(i, {})[j] = c
-
-        def eval_row(jmap):
-            js = sorted(jmap, reverse=True)
-            acc = Series2.const(ctx, jmap[js[0]], INF, names)
-            prev = js[0]
-            for j in js[1:]:
-                acc = trunc(acc * pow2(prev - j)) + jmap[j]
-                prev = j
-            return trunc(acc * pow2(prev)) if prev else acc
-
-        pos = {i: eval_row(r) for i, r in rows.items() if i >= 0}
-        neg = {i: eval_row(r) for i, r in rows.items() if i < 0}
-
-        def horner(parts, base):
-            if not parts:
-                return Series2.zero(ctx, INF if target is None else target, names)
-            exps = sorted(parts, reverse=True)
-            acc = parts[exps[0]]
-            prev = exps[0]
-            for e in exps[1:]:
-                for _ in range(prev - e):
-                    acc = trunc(acc * base)
-                acc = acc + parts[e]
-                prev = e
-            for _ in range(prev):
-                acc = trunc(acc * base)
-            return acc
-
-        result = horner(pos, inner1)
-        if neg:
-            flipped = {-i: s for i, s in neg.items()}
-            result = result + horner(flipped, inv1)
-        if self.order is not INF:
-            result = result.truncated(self.order)
-        if order is not None:
-            result = result.truncated(order)
-        return result
+        if not rows:
+            return Series2.zero(ctx, top, names)
+        exps = sorted(rows, reverse=True)
+        acc = eval_row(rows[exps[0]])
+        for hi, lo in zip(exps, exps[1:]):
+            for _ in range(hi - lo):
+                acc = (acc * inner1).truncated(top)
+            acc = acc + eval_row(rows[lo])
+        for _ in range(exps[-1]):
+            acc = (acc * inner1).truncated(top)
+        return acc
 
     # -- display --------------------------------------------------------
 

@@ -16,7 +16,13 @@ from symdiff2.errors import (
     ValuationError,
     ZeroSeries,
 )
-from symdiff2.expressions import DifferentialInput, eval_text, parse
+from symdiff2.expressions import (
+    DifferentialInput,
+    eval_ast,
+    eval_text,
+    parse,
+    shift_variable,
+)
 from symdiff2.local_forms import (
     analyze_product_form,
     classify_leaf,
@@ -122,11 +128,11 @@ def test_leaf_chart_degenerate_base_point(exact_ctx):
     r = z1 * eval_text("exp(z2^2/2)", 12, ctx)
     with pytest.raises(DegenerateBasePoint):
         leaf_chart(one.truncated(12), r)
-    # polynomial data recenters exactly
-    rp = z1 * (one + z2 * z2)
+    # recentering z2 happens on the expressions, as the CLI's base_shift does
+    rp = parse("z1*(1 + z2^2)")
     with pytest.raises(DegenerateBasePoint):
-        leaf_chart(one.truncated(12), rp)
-    nf = leaf_chart(one.truncated(12), rp.substitute(z1, z2 + one))
+        leaf_chart(one.truncated(12), eval_ast(rp, 12, ctx))
+    nf = leaf_chart(one.truncated(12), eval_ast(shift_variable(rp, "z2", 1), 12, ctx))
     assert nf.m == 0
 
 

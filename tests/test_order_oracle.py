@@ -1,0 +1,149 @@
+"""Order oracle: a result's claimed order is never more than it knows.
+
+Each case builds one mathematical object at truncation N and at N + 8 on
+the exact backend.  Every coefficient up to the order the lower run claims
+must agree with the higher run; a claim one degree too long fails here.
+"""
+
+import json
+import random
+
+from symdiff2 import EXACT, Series2, reverse_map
+from symdiff2.cli import run
+from symdiff2.expressions import DifferentialInput
+from symdiff2.local_forms import analyze_product_form
+
+from conftest import P_NAMES, assert_refines, rand_coordmap, rand_poly2, rand_unit2
+
+DELTA = 8
+
+
+def agree_through_low(low, high):
+    """Like assert_refines, but a zero residual may be zero on both sides."""
+    assert low.order <= high.order
+    assert low.eq_through(high)
+
+
+def gens(ctx):
+    return (
+        Series2.variable(ctx, 0),
+        Series2.variable(ctx, 1),
+        Series2.const(ctx, 1),
+    )
+
+
+def tail_series(ctx, seed, N):
+    """exp of a seeded polynomial without constant term: no finite support."""
+    a = rand_poly2(ctx, random.Random(seed), deg=3, nterms=4)
+    return (a - a.constant_term).exp(N)
+
+
+def laurent_outer(ctx, seed, pole, N):
+    """A one-axis Laurent series with pole ``pole`` known only through its order."""
+    rnd = random.Random(seed)
+    a = Series2.from_terms(ctx, {(i, 0): rnd.choice((1, -1, 2, -2)) for i in (1, 2, 3)})
+    return a.exp(N).div_monomial(pole, 0).with_names(P_NAMES)
+
+
+def test_substitute_power_series_under_a_full_map():
+    ctx = EXACT
+    for seed in range(12):
+        N = 4 + seed % 4
+        runs = []
+        for n in (N, N + DELTA):
+            phi = rand_coordmap(ctx, random.Random(100 + seed), order=n)
+            runs.append(tail_series(ctx, seed, n).substitute(phi.comp1, phi.comp2))
+        assert runs[0].order == N
+        assert_refines(*runs)
+
+
+def test_substitute_laurent_outer_at_z1_times_unit():
+    ctx = EXACT
+    z1, z2, one = gens(ctx)
+    zero = Series2.zero(ctx)
+    for seed in range(12):
+        pole, N = 1 + seed % 3, 6 + seed % 4
+        unit = rand_unit2(ctx, random.Random(200 + seed), deg=3, nterms=3)
+        for truncated in (False, True):
+            runs = []
+            for n in (N, N + DELTA):
+                u = (unit - one + z1 * z2).exp(n) if truncated else unit
+                g = laurent_outer(ctx, seed, pole, n)
+                runs.append(g.substitute(z1 * u, zero, n))
+            assert_refines(*runs)
+
+
+def test_substitute_laurent_order_is_tight_for_polynomial_inner():
+    # (z1^P g)(p) * u^-P / z1^P keeps every degree that g and N determine
+    ctx = EXACT
+    z1, z2, one = gens(ctx)
+    zero = Series2.zero(ctx)
+    for seed in range(12):
+        pole, N, m = 1 + seed % 3, 6 + seed % 5, seed % 4
+        p = z1 * (one + Series2.monomial(ctx, m, 0) * z2)
+        for g_order in (N - 1 - m, N + 2):
+            g = laurent_outer(ctx, seed, pole, g_order + pole)
+            assert g.order == g_order
+            assert g.substitute(p, zero, N).order == min(N - pole, g.order)
+
+
+def test_reverse_map_refines():
+    ctx = EXACT
+    for seed in range(8):
+        N = 4 + seed % 3
+        low, high = (
+            reverse_map(rand_coordmap(ctx, random.Random(300 + seed), order=n))
+            for n in (N, N + DELTA)
+        )
+        for a, b in ((low.comp1, high.comp1), (low.comp2, high.comp2)):
+            assert a.order == N
+            assert_refines(a, b)
+
+
+# -- the product-form pipeline ---------------------------------------------
+
+README_W = {"scale": "exp(z2/(1+z1*z2))", "u": "z1", "r": "z1*(1+z1*z2)"}
+# the twin of the closed m = 2 construction in chart coordinates u = z1 + z2^2
+M2_CHART_TWIN_W = {
+    "scale": "(1+(z1+z2^2)^2*z2)^1*exp((-1)*(z1+z2^2)^1+(1/2)*(z1+z2^2)^2)"
+    "*exp((1/3)*((z1+z2^2)*(1+(z1+z2^2)^2*z2))^1)*exp((1/2)*z2)",
+    "u": "z1+z2^2",
+    "r": "(z1+z2^2)*(1+(z1+z2^2)^2*z2)",
+}
+# the doc pinned as theorem26-twin-m2 in data/report_digests.json
+PINNED_M2_TWIN_W = {
+    "scale": "(1+(z1+z2^2)^2*z2)^(-1)*exp(1*(z1+z2^2)+(1/2)*(z1+z2^2)^2)"
+    "*exp((1/3)*((z1+z2^2)*(1+(z1+z2^2)^2*z2)))*exp((1/2)*z2)",
+    "u": "z1+z2^2",
+    "r": "(z1+z2^2)*(1+(z1+z2^2)^2*z2)",
+}
+M3_CLOSED = (
+    "(z1)^2*(1+(z1)^3*z2)^(-1/3)*exp((-1)*(z1)*z2*(2+1*(z1)^3*z2^1)/(1+(z1)^3*z2)^2)"
+    "*exp((-1)*(z1)^1+(-1/2)*(z1)^2)*exp((1/3)*((z1)*(1+(z1)^3*z2))^1)"
+)
+M3_W = {"scale": M3_CLOSED, "u": "z1", "r": "(z1)*(1+(z1)^3*z2)"}
+M3_TWIN_W = {**M3_W, "scale": M3_CLOSED + "*exp((1/2)*z2)"}
+
+
+def theorem26(w, N):
+    code, text = run(["theorem26"], json.dumps({"truncation": N, "backend": "exact", "w": w}))
+    return code, json.loads(text)["results"]["decomposition"]
+
+
+def test_twins_with_a_residual_long_enough_are_not_closed():
+    # the residual's claimed order reaches the twin's first nonzero degree
+    for w, N in ((M2_CHART_TWIN_W, 8), (M3_TWIN_W, 11), (M3_TWIN_W, 12)):
+        code, dec = theorem26(w, N)
+        assert (code, dec["residual_zero"]) == (1, False)
+
+
+def test_pipeline_chart_factor_and_residual_refine():
+    for w in (README_W, PINNED_M2_TWIN_W, M3_W):
+        N = 8
+        runs = []
+        for n in (N, N + DELTA):
+            di = DifferentialInput.from_strings(w)
+            runs.append(analyze_product_form(*di.product_factors(EXACT, n), order=n))
+        low, high = runs
+        assert_refines(low.chart_factor, high.chart_factor)
+        agree_through_low(low.decomposition.residual, high.decomposition.residual)

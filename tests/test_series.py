@@ -261,13 +261,12 @@ def test_axis_slices_of_truncated_exp_refine(exact_ctx):
 
 
 def test_substitute_constant_shift_polynomial_only(ctx):
+    # inner series must fix the origin; recentering happens on the expressions
     z1, z2, one = gens(ctx)
     poly = z1 * z2 + z2 * z2
-    shifted = poly.substitute(z1, z2 + one)
-    assert shifted.eq_through(z1 * z2 + z1 + z2 * z2 + z2.scale(2) + one)
-    truncated = poly.truncated(6)
-    with pytest.raises(ValuationError):
-        truncated.substitute(z1, z2 + one)
+    for outer in (poly, poly.truncated(6)):
+        with pytest.raises(ValuationError):
+            outer.substitute(z1, z2 + one)
 
 
 def test_substitute_valuation_guard(ctx):

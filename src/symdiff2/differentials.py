@@ -84,7 +84,6 @@ class SymTwoDiff:
     a: Series2
     b: Series2
     c: Series2
-    provenance: tuple | None = None  # (OneForm, OneForm) if built as a product
 
     @property
     def ctx(self):
@@ -125,7 +124,6 @@ def product(mu: OneForm, nu: OneForm) -> SymTwoDiff:
         mu.A * nu.A,
         mu.A * nu.B + mu.B * nu.A,
         mu.B * nu.B,
-        provenance=(mu, nu),
     )
 
 
@@ -160,7 +158,7 @@ def rank(w: SymTwoDiff):
 def _bound(s: Series2, order):
     """The degree through which s / h or sqrt(s) is solved; never past s.order."""
     if order is not None:
-        return order if s.order is INF else min(order, s.order)
+        return min(order, s.order)
     if s.order is not INF:
         return s.order
     return max(DEFAULT_ORDER, max(i + j for (i, j) in s.coeffs))
@@ -180,8 +178,7 @@ def try_divide(s: Series2, h: Series2, order=None):
     if s.pole or h.pole:
         raise ValuationError("local-ring division is defined for pole-free series")
     if s.is_zero():
-        new_order = s.order if s.order is INF else s.order - h.valuation
-        return Series2.zero(ctx, new_order, s.names)
+        return Series2.zero(ctx, s.order - h.valuation, s.names)
     if len(h.coeffs) == 1:
         ((i0, j0), c0) = next(iter(h.coeffs.items()))
         if any(i < i0 or j < j0 for (i, j) in s.coeffs):

@@ -43,7 +43,7 @@ from .errors import (
     NotAUnit,
 )
 from .scalars import GaussianRational, ScalarContext
-from .series import INF, Series2, _as_int, _exponent_scalar
+from .series import INF, Series2, _as_int
 
 # -- AST ---------------------------------------------------------------
 
@@ -386,41 +386,19 @@ def _pr(node, parent_prec: int) -> str:
         prec = _PREC[node.op]
         text = _pr(node.left, prec) + node.op + _pr(node.right, prec + 1)
         return f"({text})" if prec < parent_prec else text
+    if isinstance(node, ScalarLit):  # a bare number or parenthesized
+        return format_scalar_literal(node)
     raise TypeError(f"not an AST node: {node!r}")
 
 
 # -- variable shifting ----------------------------------------------------
 
 
-def scalar_to_ast(value):
-    """Build a literal AST for a scalar (used to recenter a variable)."""
-    if isinstance(value, (int, Fraction)):
-        value = GaussianRational(value)
-    if isinstance(value, GaussianRational):
-        re, im = value.re, value.im
-        parts = []
-        if re or not im:
-            node = Num(Fraction(abs(re)))
-            parts.append(Neg(node) if re < 0 else node)
-        if im:
-            mag = Num(Fraction(abs(im)))
-            term = Bin("*", mag, Imag())
-            parts.append(Neg(term) if im < 0 else term)
-        node = parts[0]
-        for p in parts[1:]:
-            node = Bin("+", node, p)
-        return node
-    z = complex(value)
-    node = Num(abs(z.real)) if z.real >= 0 else Neg(Num(abs(z.real)))
-    if z.imag:
-        term = Bin("*", Num(abs(z.imag)), Imag())
-        node = Bin("+" if z.imag >= 0 else "-", node, term)
-    return node
-
-
 def shift_variable(node, var: str, amount):
-    """Rewrite ``var -> var + amount`` throughout an AST."""
-    repl = Bin("+", Var(var), scalar_to_ast(amount))
+    """Rewrite ``var -> var + amount`` throughout an AST; an int, Fraction or
+    GaussianRational amount stays exact, anything else is a complex literal."""
+    lit = ScalarLit(GaussianRational._coerce(amount), complex(amount))
+    repl = Bin("+", Var(var), lit)
 
     def walk(n):
         if isinstance(n, Var):
@@ -458,10 +436,6 @@ class UnitConstant:
         self.exp_arg = ctx.zero if exp_arg is None else exp_arg
         self.pows = tuple(pows)
 
-    @classmethod
-    def one(cls, ctx):
-        return cls(ctx)
-
     def is_trivial(self, ctx) -> bool:
         return (
             not self.pows
@@ -488,14 +462,6 @@ class UnitConstant:
             self._merge_pows(ctx, self.pows + other.pows),
         )
 
-    def inv(self, ctx) -> "UnitConstant":
-        return UnitConstant(
-            ctx,
-            ctx.inv(self.rational),
-            -self.exp_arg,
-            tuple((b, -e) for b, e in self.pows),
-        )
-
     def pow(self, ctx, e) -> "UnitConstant":
         n = _as_int(e)
         if n is not None:
@@ -505,7 +471,7 @@ class UnitConstant:
                 self.exp_arg * ctx.from_int(n),
                 tuple((b, x * ctx.from_int(n)) for b, x in self.pows),
             )
-        es = _exponent_scalar(ctx, e)
+        es = ctx.coerce(e)
         try:
             rat = ctx.pow(self.rational, e)
             pows = tuple((b, x * es) for b, x in self.pows)
@@ -530,8 +496,9 @@ class UnitConstant:
 # -- evaluation -------------------------------------------------------------
 
 
-def _series_div(num: Series2, den: Series2, order) -> Series2:
-    """num / den, factoring a z1 monomial out of the denominator."""
+def _series_div(num, den: Series2, order) -> Series2:
+    """num / den for a series or scalar num, factoring a z1 monomial out of
+    the denominator."""
     if den.is_zero():
         raise DivisionByNonUnit("division by a series that vanishes identically")
     k = min(i for (i, _) in den.coeffs)
@@ -568,7 +535,7 @@ def _lit_value(ctx, lit: ScalarLit):
 
 
 def _evn(node, ctx, order):
-    one = UnitConstant.one(ctx)
+    one = UnitConstant(ctx)
     names = ("z1", "z2")
     if isinstance(node, Num):
         if isinstance(node.value, Fraction):
@@ -589,15 +556,15 @@ def _evn(node, ctx, order):
         if node.op == "*":
             return s1 * s2, c1.mul(ctx, c2)
         if node.op == "/":
-            return _series_div(s1, s2, order), c1.mul(ctx, c2.inv(ctx))
+            return _series_div(s1, s2, order), c1.mul(ctx, c2.pow(ctx, -1))
         # additive: constants must reconcile
         sign = 1 if node.op == "+" else -1
         try:
-            rho = c1.mul(ctx, c2.inv(ctx)).collapse(ctx)
+            rho = c1.mul(ctx, c2.pow(ctx, -1)).collapse(ctx)
             combined = s1.scale(rho) + (s2 if sign > 0 else -s2)
             return combined, c2
         except ExactValueError:
-            rho = c2.mul(ctx, c1.inv(ctx)).collapse(ctx)
+            rho = c2.mul(ctx, c1.pow(ctx, -1)).collapse(ctx)
             combined = s1 + (s2.scale(rho) if sign > 0 else -s2.scale(rho))
             return combined, c1
     if isinstance(node, Pow):
@@ -605,15 +572,8 @@ def _evn(node, ctx, order):
         s, c = _evn(node.base, ctx, order)
         n = _as_int(e)
         if n is not None:
-            if n < 0 and not s.is_unit:
-                return (
-                    _series_div(
-                        Series2.const(ctx, ctx.one, INF, names),
-                        s._int_pow(-n, order),
-                        order,
-                    ),
-                    c.pow(ctx, n),
-                )
+            if n < 0:  # solved through the job's order, as a division is
+                return _series_div(1, s._int_pow(-n, order), order), c.pow(ctx, n)
             return s._int_pow(n, order if s.order is not INF else None), c.pow(ctx, n)
         beta = s.constant_term
         if ctx.is_zero(beta) or s.pole:
@@ -621,7 +581,7 @@ def _evn(node, ctx, order):
         u = s.scale(ctx.inv(beta))
         series = u.pow_scalar(e, order)
         const = c.pow(ctx, e).mul(
-            ctx, UnitConstant(ctx, pows=((beta, _exponent_scalar(ctx, e)),))
+            ctx, UnitConstant(ctx, pows=((beta, ctx.coerce(e)),))
         )
         return series, const
     if isinstance(node, Call):

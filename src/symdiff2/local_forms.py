@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import (
     DegenerateBasePoint,
@@ -156,11 +157,10 @@ def leaf_chart(h: Series2, r: Series2) -> NormalFormData:
     m = order_of_contact(r)
     u = r.div_monomial(1, 0)
     s = u.slice_z2_zero()
-    t_order = u.order if u.order is INF else u.order - m
     t = Series2(
         ctx,
         {(0, j): c for (i, j), c in u.coeffs.items() if i == m and j >= 1},
-        t_order,
+        u.order - m,
         names,
     )
     if ctx.is_zero(t.coefficient(0, 1)):
@@ -242,8 +242,7 @@ def solve_singular_decomposition(v: Series2, m: int) -> SingularDecomposition:
         if i == 0:
             continue
         g_coeffs[(i, 0)] = cc * ctx.inv(ctx.from_int(i))
-    g_order = reduced.order if reduced.order is INF else reduced.order - m
-    g = Series2(ctx, g_coeffs, g_order, ("p", names[1]))
+    g = Series2(ctx, g_coeffs, reduced.order - m, ("p", names[1]))
     f = L.slice_z2_zero() - g.with_names(names)
     if f.pole > m or g.pole > m:
         raise PrecisionExhausted(
@@ -280,40 +279,20 @@ def compose_singular_decomposition(
 # -- monodromy -------------------------------------------------------------
 
 
-def _best_rational(x: float, maxden: int):
-    """Best continued-fraction convergent p/q of x with q <= maxden."""
-    h0, k0, h1, k1 = 0, 1, 1, 0
-    xx = x
-    best = None
-    for _ in range(64):
-        a = math.floor(xx)
-        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
-        if k1 > maxden:
-            break
-        err = abs(x - h1 / k1)
-        if best is None or err < best[2]:
-            best = (h1, k1, err)
-        if err == 0.0:
-            break
-        frac = xx - a
-        if frac < 1e-18:
-            break
-        xx = 1.0 / frac
-    return best
-
-
 MAX_MONODROMY_DENOMINATOR = 10 ** 6
 
 
 def monodromy_index(alpha, ctx: ScalarContext) -> MonodromyIndex:
     """The multiplier pair {c, 1/c} with c = exp(2 pi i alpha).
 
-    Exact alphas decide rationality exactly.  On the approx backend a
-    bounded continued-fraction reconstruction (denominators up to 10^6,
-    acceptance threshold tol / q^2) is used and the verdict is flagged as
-    heuristic.
+    Exact alphas decide rationality exactly.  On the approx backend the real
+    part x of alpha is matched with the closest fraction p/q whose
+    denominator is at most MAX_MONODROMY_DENOMINATOR, and accepted when
+    |x - p/q| <= tol / q^2; the verdict is flagged as heuristic.  An accepted
+    p/q is a continued-fraction convergent of x (Legendre's theorem, as tol <
+    1/2), so the closest fraction and the best convergent agree on it.
     """
-    z = ctx.to_complex(alpha)
+    z = complex(alpha)
     c = cmath.exp(2j * math.pi * z)
     if ctx.name == "exact":
         if alpha.im:
@@ -329,13 +308,12 @@ def monodromy_index(alpha, ctx: ScalarContext) -> MonodromyIndex:
         return MonodromyIndex(
             c, "infinite", heuristic=True, note="exponent has nonzero imaginary part"
         )
-    best = _best_rational(z.real, MAX_MONODROMY_DENOMINATOR)
-    if best is not None:
-        p, qden, err = best
-        if err <= tol / (qden * qden):
-            if qden == 1:
-                return MonodromyIndex(c, "trivial", order=1, heuristic=True)
-            return MonodromyIndex(c, "finite", order=qden, heuristic=True)
+    best = Fraction(z.real).limit_denominator(MAX_MONODROMY_DENOMINATOR)
+    qden = best.denominator
+    if abs(z.real - best.numerator / qden) <= tol / (qden * qden):
+        if qden == 1:
+            return MonodromyIndex(c, "trivial", order=1, heuristic=True)
+        return MonodromyIndex(c, "finite", order=qden, heuristic=True)
     return MonodromyIndex(
         c, "infinite", heuristic=True, note="infinite (no small rational found)"
     )
@@ -433,7 +411,7 @@ def analyze_product_form(
         r_v = r.substitute(psi.comp1, psi.comp2)
         warnings.append("applied a preliminary chart to make u the first coordinate")
     nf = leaf_chart(h_v, r_v)
-    inv = nf.chart.reverse(order)
+    inv = reverse_map(nf.chart, order)
     chart_factor = nf.fout.substitute(inv.comp1, inv.comp2).truncated(order)
     analysis = LeafAnalysis(nf, chart_factor, warnings=warnings)
     if not solve:

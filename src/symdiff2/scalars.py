@@ -178,10 +178,6 @@ class GaussianRational:
         return format_exact(self)
 
     @property
-    def is_real(self) -> bool:
-        return not self.im
-
-    @property
     def is_integer(self) -> bool:
         return not self.im and self.re.denominator == 1
 
@@ -318,9 +314,6 @@ class ExactContext(ScalarContext):
                     raise ExactValueError(f"{x}**{e} is not a Gaussian rational")
         raise ExactValueError(f"{x}**{e} is not a Gaussian rational")
 
-    def to_complex(self, x) -> complex:
-        return complex(x)
-
     def fmt(self, x) -> str:
         return format_exact(x)
 
@@ -381,9 +374,6 @@ class ApproxContext(ScalarContext):
         if isinstance(e, int):
             return complex(x) ** e
         return cmath.exp(e * cmath.log(x))
-
-    def to_complex(self, x) -> complex:
-        return complex(x)
 
     def fmt(self, x) -> str:
         return format_complex(complex(x))

@@ -18,11 +18,13 @@ One graded solver finds every series fixed degree by degree: at degree e it
 divides a target part plus weighted cross terms of lower degrees by a leading
 scalar or form.  With the weights of the Euler operator ``z1*d/dz1 +
 z2*d/dz2`` (Brent-Kung for exp/log, J.C.P. Miller for powers) it gives
-``invert_unit``, ``exp``, ``log``, ``sqrt`` and fractional ``pow_scalar`` for
-about one truncated product; with weight -1 and a leading form it gives the
-local-ring quotients and square roots of ``differentials``.  Degree d reads
-only input parts of degree <= d, so a result is guaranteed through exactly the
-order of its input.
+``invert_unit``, ``exp``, ``log`` and fractional ``pow_scalar`` (``sqrt`` is
+the power 1/2) for about one truncated product; with weight -1 and a leading
+form it gives the local-ring quotients and square roots of ``differentials``.
+Degree d reads only input parts of degree <= d, so a result is guaranteed
+through exactly the order of its input.  An integer power is repeated
+squaring of the base, or of its inverse when the exponent is negative; it is
+exact only when no order is asked for, and otherwise truncated at that order.
 
 Composition ``s(inner1, inner2)`` needs inner series that fix the origin and
 is one Horner evaluation over power series, guaranteed through
@@ -168,7 +170,7 @@ class Series2:
         """Re-coerce coefficients into another backend (exact -> approx)."""
         return Series2(
             ctx,
-            {k: ctx.coerce(self.ctx.to_complex(v)) for k, v in self.coeffs.items()},
+            {k: ctx.coerce(complex(v)) for k, v in self.coeffs.items()},
             self.order,
             self.names,
         )
@@ -242,11 +244,13 @@ class Series2:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("use pow_scalar for non-integer exponents")
+        if n < 0:
+            return self.invert_unit()._int_pow(-n, None)
         return self._int_pow(n, None)
 
     def _int_pow(self, n: int, order):
-        if n < 0:
-            return self.invert_unit(order)._int_pow(-n, order)
+        """The natural power ``self**n``, exact when ``order`` is None, else
+        truncated at ``order``."""
         out = Series2.const(self.ctx, self.ctx.one, INF, self.names)
         base = self if order is None else self.truncated(order)
         e = n
@@ -290,8 +294,7 @@ class Series2:
                 continue
             k = (i - 1, j) if idx == 0 else (i, j - 1)
             out[k] = c * self.ctx.from_int(e)
-        order = self.order if self.order is INF else self.order - 1
-        return Series2(self.ctx, out, order, self.names)
+        return Series2(self.ctx, out, self.order - 1, self.names)
 
     def ord_along_axis(self, axis) -> int:
         """Least exponent of the axis variable carried by a known term."""
@@ -312,8 +315,7 @@ class Series2:
                     f"{self.names[1]}^{j0} does not divide this series"
                 )
             out[(i - i0, j - j0)] = c
-        order = self.order if self.order is INF else self.order - i0 - j0
-        return Series2(self.ctx, out, order, self.names)
+        return Series2(self.ctx, out, self.order - i0 - j0, self.names)
 
     # -- slices -------------------------------------------------------
 
@@ -334,7 +336,7 @@ class Series2:
     def _resolve_order(self, order):
         if order is None:
             return self.order if self.order is not INF else DEFAULT_ORDER
-        return order if self.order is INF else min(order, self.order)
+        return min(order, self.order)
 
     def invert_unit(self, order=None) -> "Series2":
         if not self.is_unit:
@@ -362,20 +364,19 @@ class Series2:
         return u._graded(order, self.ctx.one, 1, log=True) + lead
 
     def pow_scalar(self, e, order=None) -> "Series2":
-        """Raise to a scalar power; integer exponents reduce to products."""
+        """Raise to a scalar power; integer exponents reduce to products, of
+        the inverse for a negative one."""
         n = _as_int(e)
         if n is not None:
-            return self._int_pow(n, None if order is None else order)
+            base = self if n >= 0 else self.invert_unit(order)
+            return base._int_pow(abs(n), order)
         if not self.is_unit:
             raise NotAUnit("fractional powers require a unit base")
         lead = self.ctx.pow(self.constant_term, e)
-        return self._unit_power(_exponent_scalar(self.ctx, e), lead, order)
+        return self._unit_power(self.ctx.coerce(e), lead, order)
 
     def sqrt(self, order=None) -> "Series2":
-        if not self.is_unit:
-            raise NotAUnit("sqrt requires a unit series")
-        lead = self.ctx.sqrt(self.constant_term)
-        return self._unit_power(_exponent_scalar(self.ctx, Fraction(1, 2)), lead, order)
+        return self.pow_scalar(Fraction(1, 2), order)
 
     def _unit_power(self, alpha, lead, order) -> "Series2":
         """``lead * (self / c)**alpha`` for this unit with constant term ``c``."""
@@ -423,7 +424,7 @@ class Series2:
                     "Laurent substitution needs inner1 of the form z1*(unit)"
                 )
             lifted = self.div_monomial(-P, 0).substitute(inner1, inner2, order)
-            return (lifted * u._int_pow(-P, order)).div_monomial(P, 0)
+            return (lifted * u.invert_unit(order)._int_pow(P, order)).div_monomial(P, 0)
         top = min(INF if order is None else order, self.order)
         names = inner1.names
         powers2 = [Series2.const(ctx, ctx.one, top, names)]
@@ -572,12 +573,6 @@ def _as_int(e):
     return None
 
 
-def _exponent_scalar(ctx, e):
-    if isinstance(e, (int, Fraction)):
-        return ctx.from_rational(e)
-    return ctx.coerce(e)
-
-
 class CoordMap:
     """A formal change of coordinates: two series components fixing the origin."""
 
@@ -625,9 +620,6 @@ class CoordMap:
             self.comp1.substitute(inner.comp1, inner.comp2),
             self.comp2.substitute(inner.comp1, inner.comp2),
         )
-
-    def reverse(self, order=None) -> "CoordMap":
-        return reverse_map(self, order)
 
 
 def reverse_map(phi: CoordMap, order=None) -> CoordMap:

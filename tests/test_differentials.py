@@ -49,7 +49,6 @@ def test_product_examples(ctx):
     assert w.a.eq_through(one) and w.b.eq_through(z1 * z2) and w.c.is_zero()
     w = product(OneForm(one, zero), OneForm(zero, one))
     assert w.a.is_zero() and w.b.eq_through(one) and w.c.is_zero()
-    assert w.provenance is not None
 
 
 # -- discriminant ---------------------------------------------------------------

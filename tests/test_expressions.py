@@ -27,6 +27,7 @@ from symdiff2.expressions import (
     print_expr,
     shift_variable,
 )
+from symdiff2.scalars import GaussianRational
 from symdiff2.series import Series2
 
 
@@ -180,6 +181,18 @@ def test_eval_integer_powers_of_non_units(ctx):
     assert s.pole == 1
 
 
+@pytest.mark.parametrize("N", [12, 20])
+@pytest.mark.parametrize(
+    "power, quotient",
+    [("(1+z1)^(-1)", "1/(1+z1)"), ("(1+z1+z2^2)^(-2)", "1/(1+z1+z2^2)^2")],
+)
+def test_negative_power_of_a_unit_is_the_quotient(power, quotient, N):
+    # both are solved through the job's order, however high it is
+    s, q = eval_text(power, N, EXACT), eval_text(quotient, N, EXACT)
+    assert s.order == q.order == N
+    assert s.coeffs == q.coeffs
+
+
 def test_eval_imaginary_unit(ctx):
     s = eval_text("i*i", 4, ctx)
     assert ctx.eq(s.constant_term, ctx.from_int(-1))
@@ -244,6 +257,27 @@ def test_shift_variable():
     s = eval_ast(shifted, 8, EXACT)
     expect = eval_text("z1*(2+z2)", 8, EXACT)
     assert s.eq_through(expect)
+
+
+SHIFTED = "z1*(1+z2)^3/(3+z2)-z2^2+exp(z1*z2)"
+
+
+@pytest.mark.parametrize(
+    "amount, written, ctx",
+    [
+        (1, "1", EXACT),
+        (Fraction(-1, 2), "(-1/2)", EXACT),
+        (GaussianRational(Fraction(-1, 2), 2), "(-1/2+2*i)", EXACT),
+        (0.5 - 1.5j, "(0.5-1.5*i)", APPROX),
+    ],
+)
+def test_shift_variable_amounts(amount, written, ctx):
+    shifted = shift_variable(parse(SHIFTED), "z2", amount)
+    expect = eval_text(SHIFTED.replace("z2", f"(z2+{written})"), 10, ctx)
+    for ast in (shifted, parse(print_expr(shifted))):
+        s = eval_ast(ast, 10, ctx)
+        assert s.order == expect.order
+        assert s.eq_through(expect)
 
 
 def test_normalized_eval_factors_constants():

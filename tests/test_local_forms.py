@@ -27,6 +27,7 @@ from symdiff2.local_forms import (
     analyze_product_form,
     classify_leaf,
     compose_singular_decomposition,
+    MAX_MONODROMY_DENOMINATOR,
     leaf_chart,
     monodromy_index,
     order_of_contact,
@@ -342,6 +343,48 @@ def test_monodromy_well_defined_mod_integers(ctx):
             )
             cs.append(monodromy_index(alpha, ctx).c)
         assert abs(cs[0] - cs[1]) < 1e-9 and abs(cs[1] - cs[2]) < 1e-9
+
+
+def _best_convergent(x: float, maxden: int):
+    """Reference search: the continued-fraction convergent p/q of x with
+    q <= maxden closest to x, as (p, q, |x - p/q|)."""
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    xx = x
+    best = None
+    for _ in range(64):
+        a = math.floor(xx)
+        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
+        if k1 > maxden:
+            break
+        err = abs(x - h1 / k1)
+        if best is None or err < best[2]:
+            best = (h1, k1, err)
+        if err == 0.0:
+            break
+        frac = xx - a
+        if frac < 1e-18:
+            break
+        xx = 1.0 / frac
+    return best
+
+
+def test_monodromy_approx_matches_the_best_convergent():
+    rnd = random.Random(20141)
+    values = []
+    for _ in range(3000):
+        q = rnd.randint(1, 2000)
+        noise = rnd.choice((0.0, rnd.choice((-1, 1)) * 10 ** rnd.uniform(-16, -6)))
+        values.append(rnd.randint(-5 * q, 5 * q) / q + noise)
+    values += [rnd.uniform(-5, 5) for _ in range(3000)]
+    for x in values:
+        mi = monodromy_index(complex(x), APPROX)
+        _, q, err = _best_convergent(x, MAX_MONODROMY_DENOMINATOR)
+        if err > APPROX.tol / (q * q):
+            want = ("infinite", None, "infinite (no small rational found)")
+        else:
+            want = ("trivial" if q == 1 else "finite", q, "")
+        assert (mi.order_type, mi.order, mi.note) == want, x
+        assert mi.heuristic
 
 
 # -- leaf classification ---------------------------------------------------------------

@@ -117,6 +117,11 @@ PINNED_M2_TWIN_W = {
     "u": "z1+z2^2",
     "r": "(z1+z2^2)*(1+(z1+z2^2)^2*z2)",
 }
+# its closed sibling, whose scale holds the power (1+(z1+z2^2)^2*z2)^(-1)
+PINNED_M2_CLOSED_W = {
+    **PINNED_M2_TWIN_W,
+    "scale": PINNED_M2_TWIN_W["scale"].removesuffix("*exp((1/2)*z2)"),
+}
 M3_CLOSED = (
     "(z1)^2*(1+(z1)^3*z2)^(-1/3)*exp((-1)*(z1)*z2*(2+1*(z1)^3*z2^1)/(1+(z1)^3*z2)^2)"
     "*exp((-1)*(z1)^1+(-1/2)*(z1)^2)*exp((1/3)*((z1)*(1+(z1)^3*z2))^1)"
@@ -147,3 +152,23 @@ def test_pipeline_chart_factor_and_residual_refine():
         low, high = runs
         assert_refines(low.chart_factor, high.chart_factor)
         agree_through_low(low.decomposition.residual, high.decomposition.residual)
+
+
+def test_negative_power_in_the_scale_follows_the_truncation():
+    # the power is solved through the job's truncation, so raising N past 16
+    # lengthens the chart factor and the residual
+    code, text = run(
+        ["theorem26"], json.dumps({"truncation": 20, "backend": "exact", "w": PINNED_M2_CLOSED_W})
+    )
+    results = json.loads(text)["results"]
+    assert code == 0
+    assert results["chart_factor"]["order"] == 19
+    assert results["decomposition"]["residual"]["order"] == 16
+    low, high = (
+        analyze_product_form(
+            *DifferentialInput.from_strings(PINNED_M2_CLOSED_W).product_factors(EXACT, n),
+            order=n, solve=False,
+        )
+        for n in (20, 24)
+    )
+    assert_refines(low.chart_factor, high.chart_factor)

@@ -30,7 +30,7 @@ from .differentials import (
     rank,
     split,
 )
-from .expressions import DifferentialInput, eval_ast, fold_scalar, parse
+from .expressions import MAX_NESTING, DifferentialInput, eval_ast, fold_scalar, parse
 from .local_forms import analyze_product_form, monodromy_index
 from .scalars import get_context
 from .series import INF
@@ -77,10 +77,6 @@ COMMANDS = (
 )
 
 _LEADING_TERMS = 10
-
-# Parsing and evaluation recurse at least once per level of an expression, so
-# job text nested deeper than this is refused before it can exhaust the stack.
-MAX_NESTING = 500
 
 
 def _series_summary(s):

@@ -45,6 +45,18 @@ from .errors import (
 from .scalars import GaussianRational, ScalarContext
 from .series import INF, Series2, _as_int
 
+# -- limits on one expression ------------------------------------------
+
+# Parsing and evaluation recurse at least once per level of an expression, so
+# job text nested deeper than this is refused (by the CLI) before it can
+# exhaust the stack.
+MAX_NESTING = 500
+# A positive power of a polynomial is formed exactly, so its cost follows the
+# size of the result.  A power whose box of exponents,
+# (n * span_z1 + 1) * (n * span_z2 + 1), holds more terms than this is refused
+# before it is formed.
+MAX_POWER_TERMS = 2048
+
 # -- AST ---------------------------------------------------------------
 
 
@@ -534,6 +546,21 @@ def _lit_value(ctx, lit: ScalarLit):
     return lit.approx
 
 
+def _check_power_size(s: Series2, n: int):
+    """Refuse the exact power ``s**n`` when its box of exponents exceeds
+    MAX_POWER_TERMS."""
+    if not s.coeffs:
+        return
+    i_s = [i for i, _ in s.coeffs]
+    j_s = [j for _, j in s.coeffs]
+    box = (n * (max(i_s) - min(i_s)) + 1) * (n * (max(j_s) - min(j_s)) + 1)
+    if box > MAX_POWER_TERMS:
+        raise ValueError(
+            f"power of a polynomial spans more than MAX_POWER_TERMS = "
+            f"{MAX_POWER_TERMS} terms"
+        )
+
+
 def _evn(node, ctx, order):
     one = UnitConstant(ctx)
     names = ("z1", "z2")
@@ -574,6 +601,8 @@ def _evn(node, ctx, order):
         if n is not None:
             if n < 0:  # solved through the job's order, as a division is
                 return _series_div(1, s._int_pow(-n, order), order), c.pow(ctx, n)
+            if s.order is INF:
+                _check_power_size(s, n)
             return s._int_pow(n, order if s.order is not INF else None), c.pow(ctx, n)
         beta = s.constant_term
         if ctx.is_zero(beta) or s.pole:

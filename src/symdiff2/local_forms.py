@@ -177,7 +177,10 @@ def leaf_chart(h: Series2, r: Series2) -> NormalFormData:
     gcorr = rest.div_monomial(m + 1, 0)
     z1c = v1 * s
     s_pow = s._int_pow(m + 1, None)
-    z2c = (t + v1 * gcorr) * s_pow.invert_unit()
+    # inverses reach as far as the inputs are known, not a fixed default
+    order = min(h.order, r.order)
+    order = DEFAULT_ORDER if order is INF else order
+    z2c = (t + v1 * gcorr) * s_pow.invert_unit(order)
     chart = CoordMap(z1c, z2c)
     recon = z1c * (
         Series2.const(ctx, ctx.one, INF, names)
@@ -186,7 +189,7 @@ def leaf_chart(h: Series2, r: Series2) -> NormalFormData:
     if not recon.eq_through(r):
         raise PrecisionExhausted("chart identity failed at this truncation")
     den = s + v1 * s.derive(0)
-    fout = h * den.invert_unit()
+    fout = h * den.invert_unit(order)
     return NormalFormData(m, s, t, gcorr, chart, fout)
 
 

@@ -14,6 +14,13 @@ through ``min(Na + val(b), Nb + val(a))``, a derivative loses one degree,
 dividing by ``z1^k`` loses ``k``.  Consuming more precision than guaranteed
 raises instead of silently truncating.
 
+An exact product of two tables of at least two terms each is summed on
+integers: each operand is brought to integer (re, im) numerators over the lcm
+of its denominators, as FLINT's ``fmpq_poly`` stores a polynomial (Hart,
+ICMS 2010), and only the output coefficients become fractions again.  A
+product with a one-term operand, where that conversion costs more than it
+saves, and every approx product form the scalar products pair by pair.
+
 One graded solver finds every series fixed degree by degree: at degree e it
 divides a target part plus weighted cross terms of lower degrees by a leading
 scalar or form.  With the weights of the Euler operator ``z1*d/dz1 +
@@ -200,7 +207,11 @@ class Series2:
     def __sub__(self, other):
         if not isinstance(other, Series2):
             other = Series2.const(self.ctx, other, names=self.names)
-        return self + (-other)
+        self._check_compat(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out[k] - c if k in out else -c
+        return Series2(self.ctx, out, min(self.order, other.order), self.names)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -223,6 +234,9 @@ class Series2:
             order = _norm_order(
                 min(self.order + other.valuation, other.order + self.valuation)
             )
+        if self.ctx.name == "exact" and len(self.coeffs) > 1 and len(other.coeffs) > 1:
+            return Series2(self.ctx, _exact_product(self.coeffs, other.coeffs, order),
+                           order, self.names)
         out = {}
         finite = order is not INF
         bitems = list(other.coeffs.items())
@@ -478,6 +492,52 @@ class Series2:
 
     def __repr__(self):
         return f"Series2({self})"
+
+
+def _over_one_denominator(coeffs: dict):
+    """(D, [(i, j, i + j, re*D, im*D)]) for an exact table, D the lcm of every
+    real and imaginary denominator, so that each term is a pair of integers."""
+    D = 1
+    for c in coeffs.values():
+        D = math.lcm(D, c.re.denominator, c.im.denominator)
+    return D, [(i, j, i + j, c.re.numerator * (D // c.re.denominator),
+                c.im.numerator * (D // c.im.denominator)) for (i, j), c in coeffs.items()]
+
+
+def _exact_product(a: dict, b: dict, order) -> dict:
+    """The exact product table of a and b through ``order``: integer sums over
+    the one denominator Da*Db (as FLINT's fmpq_poly keeps a polynomial) and
+    one Fraction per output coefficient."""
+    Da, ta = _over_one_denominator(a)
+    Db, tb = _over_one_denominator(b)
+    if order is INF:  # a bound no pair reaches
+        order = max(t[2] for t in ta) + max(t[2] for t in tb)
+    re, im = {}, {}
+    if any(t[4] for t in ta) or any(t[4] for t in tb):
+        for i1, j1, d1, r1, m1 in ta:
+            room = order - d1
+            for i2, j2, d2, r2, m2 in tb:
+                if d2 > room:
+                    continue
+                k = (i1 + i2, j1 + j2)
+                re[k] = re.get(k, 0) + (r1 * r2 - m1 * m2)
+                im[k] = im.get(k, 0) + (r1 * m2 + m1 * r2)
+    else:
+        for i1, j1, d1, r1, _ in ta:
+            room = order - d1
+            for i2, j2, d2, r2, _ in tb:
+                if d2 > room:
+                    continue
+                k = (i1 + i2, j1 + j2)
+                re[k] = re.get(k, 0) + r1 * r2
+    D = Da * Db
+    zero = Fraction(0)
+    out = {}
+    for k, n in re.items():
+        m = im.get(k, 0)
+        if n or m:
+            out[k] = GaussianRational(Fraction(n, D), Fraction(m, D) if m else zero)
+    return out
 
 
 def _forms(s: Series2, lo: int, hi: int) -> list:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from symdiff2.cli import (
     EXIT_INPUT,
@@ -252,6 +256,26 @@ def test_nesting_limit_refuses_only_deeper_expressions():
         assert code == want, terms
     code, rep = invoke("monodromy", {**ESSENTIAL, "alpha": "+".join(["1"] * 400)})
     assert code == EXIT_OK and rep["results"]["monodromy"]["alpha"] == "400"
+
+
+def test_exact_powers_above_the_term_cap_are_refused_before_they_are_formed():
+    # each job runs in its own interpreter under a timeout: an unbounded power
+    # ran for minutes (ROADMAP item 7)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for backend, a, want in (
+        ("exact", "(1+z1)^(10^4)", EXIT_INPUT),
+        ("exact", "(1+z1)^(2^40)*0+1", EXIT_INPUT),
+        ("approx", "(1+z1)^(1e300)", EXIT_INPUT),
+        ("exact", "(1+z1)^(10^3)", EXIT_OK),
+    ):
+        job = {"truncation": 8, "backend": backend, "w": {"a": a, "b": "0", "c": "1"}}
+        out = subprocess.run(
+            [sys.executable, "-m", "symdiff2.cli", "closedness"], input=json.dumps(job),
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert out.returncode == want, a
+        if want == EXIT_INPUT:
+            assert "MAX_POWER_TERMS" in json.loads(out.stdout)["error"]["message"], a
 
 
 def test_json_booleans_and_strings_are_not_integers_or_lists():

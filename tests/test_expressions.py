@@ -12,6 +12,7 @@ from symdiff2.errors import (
     NotAUnit,
 )
 from symdiff2.expressions import (
+    MAX_POWER_TERMS,
     Bin,
     Call,
     DifferentialInput,
@@ -27,6 +28,7 @@ from symdiff2.expressions import (
     print_expr,
     shift_variable,
 )
+from symdiff2.expressions import _check_power_size
 from symdiff2.scalars import GaussianRational
 from symdiff2.series import Series2
 
@@ -172,6 +174,24 @@ def test_eval_division_rules(ctx):
         eval_text("1/z2", 6, ctx)
     with pytest.raises(DivisionByNonUnit):
         eval_text("1/(z1+z2)", 6, ctx)
+
+
+def test_power_cap_counts_the_box_of_exponents(ctx):
+    # (n*span_z1 + 1) * (n*span_z2 + 1) terms at most
+    z1_z2 = eval_text("z1^2+z1*z2^3", 8, ctx)  # spans 1 and 3
+    n = 14  # 15 * 43 = 645 terms
+    assert (n + 1) * (3 * n + 1) <= MAX_POWER_TERMS
+    _check_power_size(z1_z2, n)
+    line = eval_text("1+z1", 8, ctx)
+    _check_power_size(line, MAX_POWER_TERMS - 1)
+    with pytest.raises(ValueError, match="MAX_POWER_TERMS"):
+        _check_power_size(line, MAX_POWER_TERMS)
+    with pytest.raises(ValueError, match="MAX_POWER_TERMS"):
+        _check_power_size(z1_z2, 26)  # 27 * 79 terms
+    for s in (eval_text("z1^3*z2", 8, ctx), eval_text("0", 8, ctx)):
+        _check_power_size(s, 10**9)  # a monomial power is one term
+    with pytest.raises(ValueError, match="MAX_POWER_TERMS"):
+        eval_text("(1+z1)^3000*0+1", 8, ctx)
 
 
 def test_eval_integer_powers_of_non_units(ctx):

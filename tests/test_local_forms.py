@@ -483,6 +483,20 @@ def test_pipeline_preliminary_chart(exact_ctx):
     assert any("preliminary chart" in w for w in res.warnings)
 
 
+def test_leaf_chart_inverts_through_the_inputs_order(exact_ctx):
+    # the slice s = 1 + z1 of r is not constant, so leaf_chart inverts s^2 and
+    # s + v1*s'; those inverses follow the truncation instead of stopping at 16
+    di = DifferentialInput(scale=parse("exp(z1)"), u=parse("z1"), r=parse("z1*(1+z1+z1*z2)"))
+    charts = {}
+    for N in (12, 16, 20, 24):
+        res = analyze_product_form(*di.product_factors(EXACT, N), order=N)
+        charts[N] = res.chart_factor
+        assert res.chart_factor.order == N
+        assert res.decomposition.residual.order == N - 2
+        assert res.decomposition.residual_zero
+    assert_refines(charts[20], charts[24])
+
+
 def test_pipeline_essential_example(exact_ctx):
     di = DifferentialInput(
         scale=parse("exp(z2/(1+z1*z2))"), u=parse("z1"), r=parse("z1*(1+z1*z2)")

@@ -30,7 +30,8 @@ from .differentials import (
     rank,
     split,
 )
-from .expressions import MAX_NESTING, DifferentialInput, eval_ast, fold_scalar, parse
+from .expressions import (MAX_NESTING, DifferentialInput, _lit_value, eval_ast,
+                          fold_scalar, parse)
 from .local_forms import analyze_product_form, monodromy_index
 from .scalars import get_context
 from .series import INF
@@ -214,12 +215,7 @@ class Job:
         return self._scalar(str(self.alpha_text))
 
     def _scalar(self, text):
-        lit = fold_scalar(_read(parse, text))
-        if lit.exact is not None:
-            return lit.exact if self.backend == "exact" else self.ctx.coerce(lit.approx)
-        if self.backend == "exact":
-            raise JobError(f"scalar {text!r} is not exact; use the approx backend")
-        return lit.approx
+        return _lit_value(self.ctx, fold_scalar(_read(parse, text)))
 
     @cached_property
     def differential(self) -> DifferentialInput:

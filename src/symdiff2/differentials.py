@@ -381,20 +381,20 @@ def split(w: SymTwoDiff):
         delta = root * Series2.monomial(ctx, k1 // 2, k2 // 2, names=names)
         half = ctx.from_rational(Fraction(1, 2))
         if a.is_unit:
-            inv2a = a.scale(2).invert_unit()
+            num = b + delta
             mu1 = OneForm(a, (b - delta).scale(half))
-            mu2 = OneForm(one, (b + delta) * inv2a)
+            mu2 = OneForm(one, num.divide(a.scale(2), num.order))
         elif c.is_unit:
-            inv2c = c.scale(2).invert_unit()
+            num = b + delta
             mu1 = OneForm((b - delta).scale(half), c)
-            mu2 = OneForm((b + delta) * inv2c, one)
+            mu2 = OneForm(num.divide(c.scale(2), num.order), one)
         else:
             for signed in (delta, -delta):
                 cand = b + signed
                 if cand.is_unit:
-                    invc = cand.invert_unit()
+                    num = a.scale(2)
                     mu1 = OneForm(cand.scale(half), c)
-                    mu2 = OneForm(a.scale(2) * invc, one)
+                    mu2 = OneForm(num.divide(cand, num.order), one)
                     break
             else:
                 raise Inconclusive(

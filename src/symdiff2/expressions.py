@@ -508,23 +508,6 @@ class UnitConstant:
 # -- evaluation -------------------------------------------------------------
 
 
-def _series_div(num, den: Series2, order) -> Series2:
-    """num / den for a series or scalar num, factoring a z1 monomial out of
-    the denominator."""
-    if den.is_zero():
-        raise DivisionByNonUnit("division by a series that vanishes identically")
-    k = min(i for (i, _) in den.coeffs)
-    shifted = den.div_monomial(k, 0) if k else den
-    if not shifted.is_unit:
-        raise DivisionByNonUnit(
-            "denominator is not a unit times a power of z1"
-        )
-    inv = shifted.invert_unit(order)
-    if k:
-        inv = inv * Series2.monomial(den.ctx, -k, 0, names=den.names)
-    return num * inv
-
-
 def _finite(s: Series2) -> Series2:
     """``s``, refused when a float coefficient overflowed to inf or nan."""
     if any(isinstance(c, complex) and not cmath.isfinite(c) for c in s.coeffs.values()):
@@ -583,7 +566,7 @@ def _evn(node, ctx, order):
         if node.op == "*":
             return s1 * s2, c1.mul(ctx, c2)
         if node.op == "/":
-            return _series_div(s1, s2, order), c1.mul(ctx, c2.pow(ctx, -1))
+            return s1.divide(s2, order), c1.mul(ctx, c2.pow(ctx, -1))
         # additive: constants must reconcile
         sign = 1 if node.op == "+" else -1
         try:
@@ -600,7 +583,8 @@ def _evn(node, ctx, order):
         n = _as_int(e)
         if n is not None:
             if n < 0:  # solved through the job's order, as a division is
-                return _series_div(1, s._int_pow(-n, order), order), c.pow(ctx, n)
+                one_s = Series2.const(ctx, ctx.one, INF, names)
+                return one_s.divide(s._int_pow(-n, order), order), c.pow(ctx, n)
             if s.order is INF:
                 _check_power_size(s, n)
             return s._int_pow(n, order if s.order is not INF else None), c.pow(ctx, n)

@@ -41,7 +41,7 @@ from .errors import (
     ZeroSeries,
 )
 from .scalars import ScalarContext
-from .series import DEFAULT_ORDER, INF, CoordMap, Series2, reverse_map
+from .series import INF, CoordMap, Series2, reverse_map
 
 # -- data types ---------------------------------------------------------
 
@@ -177,10 +177,9 @@ def leaf_chart(h: Series2, r: Series2) -> NormalFormData:
     gcorr = rest.div_monomial(m + 1, 0)
     z1c = v1 * s
     s_pow = s._int_pow(m + 1, None)
-    # inverses reach as far as the inputs are known, not a fixed default
+    # quotients reach as far as the inputs are known, not a fixed default
     order = min(h.order, r.order)
-    order = DEFAULT_ORDER if order is INF else order
-    z2c = (t + v1 * gcorr) * s_pow.invert_unit(order)
+    z2c = (t + v1 * gcorr).divide(s_pow, order)
     chart = CoordMap(z1c, z2c)
     recon = z1c * (
         Series2.const(ctx, ctx.one, INF, names)
@@ -189,7 +188,7 @@ def leaf_chart(h: Series2, r: Series2) -> NormalFormData:
     if not recon.eq_through(r):
         raise PrecisionExhausted("chart identity failed at this truncation")
     den = s + v1 * s.derive(0)
-    fout = h * den.invert_unit(order)
+    fout = h.divide(den, order)
     return NormalFormData(m, s, t, gcorr, chart, fout)
 
 
@@ -223,7 +222,7 @@ def solve_singular_decomposition(v: Series2, m: int) -> SingularDecomposition:
         raise ValuationError("conformal factor must be holomorphic (no pole part)")
     if v.is_zero():
         raise ZeroSeries("conformal factor vanishes through the guaranteed order")
-    N = v.order if v.order is not INF else DEFAULT_ORDER
+    N = v._resolve_order(None)  # the order a graded solve of v reaches
     if N < m + 2:
         raise PrecisionExhausted(
             f"solver needs guaranteed order >= m + 2 = {m + 2}, got {N}"

@@ -25,9 +25,10 @@ One graded solver finds every series fixed degree by degree: at degree e it
 divides a target part plus weighted cross terms of lower degrees by a leading
 scalar or form.  With the weights of the Euler operator ``z1*d/dz1 +
 z2*d/dz2`` (Brent-Kung for exp/log, J.C.P. Miller for powers) it gives
-``invert_unit``, ``exp``, ``log`` and fractional ``pow_scalar`` (``sqrt`` is
-the power 1/2) for about one truncated product; with weight -1 and a leading
-form it gives the local-ring quotients and square roots of ``differentials``.
+``exp``, ``log`` and fractional ``pow_scalar`` (``sqrt`` is the power 1/2) for
+about one truncated product.  With weight -1 it divides: by a scalar lead in
+``divide``, every quotient by z1^k times a unit (``invert_unit`` is 1/u), and
+by a leading form in the local-ring quotients and roots of ``differentials``.
 Degree d reads only input parts of degree <= d, so a result is guaranteed
 through exactly the order of its input.  An integer power is repeated
 squaring of the base, or of its inverse when the exponent is negative; it is
@@ -52,6 +53,7 @@ from fractions import Fraction
 
 from .errors import (
     BackendMismatch,
+    DivisionByNonUnit,
     DivisionFailure,
     NotAUnit,
     SingularJacobian,
@@ -73,14 +75,10 @@ def _norm_order(order):
     return order
 
 
-def _axis_index(axis, names) -> int:
-    if axis in (0, 1):
+def _axis_index(axis) -> int:
+    if type(axis) is int and axis in (0, 1):
         return axis
-    if axis in names:
-        return names.index(axis)
-    if axis in ("z1", "z2"):
-        return 0 if axis == "z1" else 1
-    raise ValueError(f"unknown axis {axis!r} for variables {names}")
+    raise ValueError(f"axis must be 0 or 1, not {axis!r}")
 
 
 class Series2:
@@ -300,7 +298,7 @@ class Series2:
     # -- calculus -----------------------------------------------------
 
     def derive(self, axis) -> "Series2":
-        idx = _axis_index(axis, self.names)
+        idx = _axis_index(axis)
         out = {}
         for (i, j), c in self.coeffs.items():
             e = i if idx == 0 else j
@@ -312,7 +310,7 @@ class Series2:
 
     def ord_along_axis(self, axis) -> int:
         """Least exponent of the axis variable carried by a known term."""
-        idx = _axis_index(axis, self.names)
+        idx = _axis_index(axis)
         if not self.coeffs:
             raise ZeroSeries(
                 "all known coefficients vanish"
@@ -348,17 +346,39 @@ class Series2:
     # -- inverses, exp, log and powers ----------------------------------
 
     def _resolve_order(self, order):
-        if order is None:
+        # no order (None or INF): this series' own order, else DEFAULT_ORDER
+        if order is None or order == INF:
             return self.order if self.order is not INF else DEFAULT_ORDER
         return min(order, self.order)
+
+    def divide(self, den: "Series2", order=None) -> "Series2":
+        """The quotient self / den for den = z1^k * u with u a unit.
+
+        q * u = self is solved degree by degree from self's valuation v
+        through ``min(self.order, u._resolve_order(order) + v)`` (u's own
+        order when u is one term) and shifted by z1^-k.
+        """
+        self._check_compat(den)
+        if den.is_zero():
+            raise DivisionByNonUnit("division by a series that vanishes identically")
+        k = min(i for (i, _) in den.coeffs)
+        u = den.div_monomial(k, 0) if k else den
+        if not u.is_unit:
+            raise DivisionByNonUnit("denominator is not a unit times a power of z1")
+        v = self.valuation
+        if len(u.coeffs) == 1 or self.is_zero():
+            q = self.scale(self.ctx.inv(u.constant_term)).truncated(u.order + v)
+        else:
+            top = min(self.order, u._resolve_order(order) + v)
+            forms = _graded_solve(self.ctx, _forms(self, v, top), u.constant_term, [],
+                                  _forms(u, 0, top - v))
+            q = _from_forms(self.ctx, forms, v, top, self.names)
+        return q.div_monomial(k, 0) if k else q
 
     def invert_unit(self, order=None) -> "Series2":
         if not self.is_unit:
             raise NotAUnit("invert_unit: constant term vanishes or series has a pole")
-        cinv = self.ctx.inv(self.constant_term)
-        if len(self.coeffs) == 1:
-            return Series2(self.ctx, {(0, 0): cinv}, self.order, self.names)
-        return self._unit_power(self.ctx.from_int(-1), cinv, order)
+        return Series2.const(self.ctx, self.ctx.one, INF, self.names).divide(self, order)
 
     def exp(self, order=None) -> "Series2":
         if self.pole:
@@ -386,16 +406,14 @@ class Series2:
             return base._int_pow(abs(n), order)
         if not self.is_unit:
             raise NotAUnit("fractional powers require a unit base")
-        lead = self.ctx.pow(self.constant_term, e)
-        return self._unit_power(self.ctx.coerce(e), lead, order)
+        c = self.constant_term
+        u = self.scale(self.ctx.inv(c))
+        alpha = self.ctx.coerce(e)
+        return u._graded(self._resolve_order(order), alpha + self.ctx.one, 1).scale(
+            self.ctx.pow(c, e))
 
     def sqrt(self, order=None) -> "Series2":
         return self.pow_scalar(Fraction(1, 2), order)
-
-    def _unit_power(self, alpha, lead, order) -> "Series2":
-        """``lead * (self / c)**alpha`` for this unit with constant term ``c``."""
-        u = self.scale(self.ctx.inv(self.constant_term))
-        return u._graded(self._resolve_order(order), alpha + self.ctx.one, 1).scale(lead)
 
     def _graded(self, order, a, b, log=False) -> "Series2":
         """The series P solved degree by degree through ``order`` from the
@@ -420,8 +438,8 @@ class Series2:
         sums in inner2 (Brent & Kung, J. ACM 25, 1978), guaranteed through
         ``min(order, self.order)`` as far as the inner series' orders allow.
         A Laurent series with pole P needs ``inner1 = z1 * u`` with u a unit:
-        ``z1^P * self`` is composed, multiplied by ``u^-P`` and divided by
-        ``z1^P``, so the result is guaranteed through
+        ``z1^P * self`` is composed, divided by ``u^P`` and by ``z1^P``, so
+        the result is guaranteed through
         ``min(order - P, self.order)``.
         """
         inner1._check_compat(inner2)
@@ -438,7 +456,7 @@ class Series2:
                     "Laurent substitution needs inner1 of the form z1*(unit)"
                 )
             lifted = self.div_monomial(-P, 0).substitute(inner1, inner2, order)
-            return (lifted * u.invert_unit(order)._int_pow(P, order)).div_monomial(P, 0)
+            return lifted.divide(u._int_pow(P, order), order).div_monomial(P, 0)
         top = min(INF if order is None else order, self.order)
         names = inner1.names
         powers2 = [Series2.const(ctx, ctx.one, top, names)]

@@ -247,6 +247,16 @@ def test_exit_codes_for_input_errors():
         assert "error" in rep, alpha
 
 
+def test_decimal_scalars_are_refused_on_the_exact_backend():
+    # base_shift and alpha read a literal by the rule expressions use
+    for command, key in (("theorem26", "base_shift"), ("monodromy", "alpha")):
+        code, rep = invoke(command, {**ESSENTIAL, key: "0.5"})
+        assert code == EXIT_INPUT, key
+        assert rep["error"]["type"] == "BackendMismatch", key
+        code, rep = invoke(command, {**ESSENTIAL, "backend": "approx", key: "0.5"})
+        assert code == EXIT_OK, key
+
+
 def test_nesting_limit_refuses_only_deeper_expressions():
     # a flat sum nests one level per term on the left
     for terms, want in ((MAX_NESTING - 1, EXIT_OK), (MAX_NESTING + 1, EXIT_INPUT)):

@@ -8,7 +8,7 @@ must agree with the higher run; a claim one degree too long fails here.
 import json
 import random
 
-from symdiff2 import EXACT, Series2, reverse_map
+from symdiff2 import EXACT, INF, Series2, SymTwoDiff, reverse_map, split
 from symdiff2.cli import run
 from symdiff2.expressions import DifferentialInput
 from symdiff2.local_forms import analyze_product_form
@@ -85,6 +85,24 @@ def test_substitute_laurent_order_is_tight_for_polynomial_inner():
             g = laurent_outer(ctx, seed, pole, g_order + pole)
             assert g.order == g_order
             assert g.substitute(p, zero, N).order == min(N - pole, g.order)
+
+
+def test_divide_refines():
+    # Laurent and power-series numerators over z1^k times a polynomial or a
+    # truncated unit
+    ctx = EXACT
+    z1, z2, one = gens(ctx)
+    for seed in range(12):
+        N, k, pole = 5 + seed % 4, seed % 3, seed % 2
+        unit = rand_unit2(ctx, random.Random(400 + seed), deg=3, nterms=3)
+        for truncated in (False, True):
+            runs = []
+            for n in (N, N + DELTA):
+                num = tail_series(ctx, seed, n).div_monomial(pole, 0)
+                u = (unit - one + z1 * z2).exp(n) if truncated else unit
+                runs.append(num.divide(u * Series2.monomial(ctx, k, 0), n))
+            assert runs[0].order == N - pole - k
+            assert_refines(*runs)
 
 
 def test_reverse_map_refines():
@@ -172,3 +190,31 @@ def test_negative_power_in_the_scale_follows_the_truncation():
         for n in (20, 24)
     )
     assert_refines(low.chart_factor, high.chart_factor)
+
+
+# the split-sqrt document pinned in data/report_digests.json
+SPLIT_SQRT_W = {"a": "1+z1-z2", "b": "z2*exp(-z1)", "c": "-(1+2*z1+z2^2)"}
+
+
+def split_at(N):
+    return split(SymTwoDiff(*DifferentialInput.from_strings(SPLIT_SQRT_W).coefficient_triple(
+        EXACT, N)))
+
+
+def test_split_factors_follow_the_truncation():
+    # each quotient (b + delta) / 2a is solved through its numerator's own
+    # order, not through DEFAULT_ORDER = 16
+    for N in (16, 20, 24):
+        orders = {s.order for mu in split_at(N) for s in (mu.A, mu.B)}
+        assert orders == {INF, N + 1}, N
+
+
+def test_split_factors_refine():
+    for N in (12, 16, 20):
+        for low, high in zip(split_at(N), split_at(N + DELTA)):
+            for a, b in ((low.A, high.A), (low.B, high.B)):
+                if a.order is INF:
+                    assert a.eq_through(b) and b.order is INF
+                else:
+                    assert a.order == N + 1
+                    assert_refines(a, b)

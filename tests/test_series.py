@@ -351,6 +351,15 @@ def test_ord_along_axis_zero_series(ctx):
         Series2.zero(ctx, order=8).ord_along_axis(0)
 
 
+def test_axes_are_only_0_and_1(exact_ctx):
+    s = rand_poly2(exact_ctx, random.Random(3))
+    for axis in ("z1", "z2", 2, -1, True, 0.0, None):
+        with pytest.raises(ValueError):
+            s.derive(axis)
+        with pytest.raises(ValueError):
+            s.ord_along_axis(axis)
+
+
 # -- guarantee bookkeeping ---------------------------------------------------------------
 
 

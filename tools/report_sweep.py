@@ -1,0 +1,80 @@
+"""Pin the exact benchmark reports: each job's exit code and report sha256.
+
+Runs rounds 0-1 of seeds 1 and 7 of the exact workloads that
+``perfbench/jobs.py`` generates (332 jobs) through ``symdiff2.cli.run`` and
+compares every exit code and sha256 of the report text with the recorded
+file.  Approx reports are not pinned: their last digits follow the
+platform's libm, as in ``tests/test_report_digests.py``.
+
+    python tools/report_sweep.py            # compare; exit 1 on any difference
+    python tools/report_sweep.py --record   # re-record after a deliberate change
+
+A deliberate change of output re-records the file and names the changed
+jobs in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import jobs as jobgen  # noqa: E402
+from symdiff2 import cli  # noqa: E402
+
+SEEDS = (1, 7)
+ROUNDS = (0, 1)
+EXACT_WORKLOADS = tuple(w for w in jobgen.WORKLOADS if jobgen.BACKENDS[w] == "exact")
+DIGESTS = Path(__file__).with_name("report_sweep.json")
+
+
+def sweep(workloads):
+    """{"workload:seed:job id": [exit code, report sha256]} over SEEDS and ROUNDS."""
+    out = {}
+    for workload in workloads:
+        for seed in SEEDS:
+            for round_index in ROUNDS:
+                for job in jobgen.generate(workload, seed, round_index):
+                    try:
+                        code, text = cli.run([job.command], job.text)
+                    except Exception as exc:  # recorded like any other outcome
+                        code, text = None, f"{type(exc).__name__}: {exc}"
+                    digest = hashlib.sha256(text.encode()).hexdigest()
+                    out[f"{workload}:{seed}:{job.id}"] = [code, digest]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--record", action="store_true", help="re-record the digests file")
+    args = parser.parse_args(argv)
+    t0 = perf_counter()
+    got = sweep(EXACT_WORKLOADS)
+    seconds = perf_counter() - t0
+    if args.record:
+        lines = (f"{json.dumps(k)}: {json.dumps(got[k])}" for k in sorted(got))
+        DIGESTS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+        print(f"recorded {len(got)} reports in {seconds:.1f} s to {DIGESTS}")
+        return 0
+    want = json.loads(DIGESTS.read_text())
+    changed = sorted(k for k in got.keys() & want.keys() if got[k] != want[k])
+    missing = sorted(want.keys() - got.keys())
+    extra = sorted(got.keys() - want.keys())
+    for label, keys in (("changed", changed), ("missing", missing), ("unrecorded", extra)):
+        for key in keys:
+            print(f"{label}: {key} {want.get(key)} -> {got.get(key)}")
+    ok = not (changed or missing or extra)
+    print(f"{len(got)} reports in {seconds:.1f} s: "
+          + ("all match" if ok else f"{len(changed)} changed, {len(missing)} missing, "
+             f"{len(extra)} unrecorded"))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,8 +33,7 @@ from .errors import (
     SingularJacobian,
     ValuationError,
 )
-from .series import (DEFAULT_ORDER, INF, CoordMap, Series2, _forms, _from_forms,
-                     _graded_solve)
+from .series import INF, CoordMap, Series2, _forms, _from_forms, _graded_solve
 
 
 @dataclass(frozen=True)
@@ -155,15 +154,6 @@ def rank(w: SymTwoDiff):
 # -- local-ring division ----------------------------------------------------
 
 
-def _bound(s: Series2, order):
-    """The degree through which s / h or sqrt(s) is solved; never past s.order."""
-    if order is not None:
-        return min(order, s.order)
-    if s.order is not INF:
-        return s.order
-    return max(DEFAULT_ORDER, max(i + j for (i, j) in s.coeffs))
-
-
 def try_divide(s: Series2, h: Series2, order=None):
     """Exact division s / h in the local ring, through the guaranteed order.
 
@@ -185,7 +175,7 @@ def try_divide(s: Series2, h: Series2, order=None):
             return None
         return s.div_monomial(i0, j0).scale(ctx.inv(c0))
     d = h.valuation
-    bound = _bound(s, order)
+    bound = s._resolve_order(order)
     if s.valuation < min(d, bound + 1):  # a term below h's lowest degree
         return None
     hparts = _forms(h, d, max(d, bound))
@@ -232,7 +222,7 @@ def perfect_square_root(s: Series2, order=None):
     if v % 2:
         return None
     d = v // 2
-    bound = _bound(s, order)
+    bound = s._resolve_order(order)
     target = _forms(s, v, max(v, bound))
     root = _homog_sqrt(target[0], ctx)
     if root is None:
@@ -251,7 +241,9 @@ def multiplicity(s: Series2, h: Series2) -> int:
         raise Inconclusive("series vanishes; multiplicity is unbounded or unknown")
     count = 0
     cur = s
-    while count <= 4 * DEFAULT_ORDER:
+    # each division uses up h.valuation of s's degrees: only a unit h reaches this
+    bound = s._resolve_order(None) // max(h.valuation, 1)
+    while count <= bound:
         nxt = try_divide(cur, h)
         if nxt is None:
             return count

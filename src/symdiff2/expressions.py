@@ -548,11 +548,10 @@ def _evn(node, ctx, order):
     one = UnitConstant(ctx)
     names = ("z1", "z2")
     if isinstance(node, Num):
-        if isinstance(node.value, Fraction):
-            return Series2.const(ctx, ctx.from_rational(node.value), INF, names), one
-        if ctx.name == "exact":
-            raise BackendMismatch("approx (decimal) literal on the exact backend")
-        return Series2.const(ctx, complex(node.value), INF, names), one
+        v = node.value
+        lit = (ScalarLit(GaussianRational(v), None) if isinstance(v, Fraction)
+               else ScalarLit(None, complex(v)))
+        return Series2.const(ctx, _lit_value(ctx, lit), INF, names), one
     if isinstance(node, Imag):
         return Series2.const(ctx, ctx.from_rational(0, 1), INF, names), one
     if isinstance(node, Var):

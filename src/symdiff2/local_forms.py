@@ -397,6 +397,8 @@ def analyze_product_form(
         )
     names = u.names
     warnings = []
+    if h.order is INF and r.order is INF:  # exact factors: solve through the job's order
+        h = h.truncated(order)
     if len(u.coeffs) == 1 and (1, 0) in u.coeffs and ctx.eq(
         u.coefficient(1, 0), ctx.one
     ):

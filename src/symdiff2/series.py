@@ -12,7 +12,9 @@ series direction.
 Operations propagate the guarantee conservatively: a product is guaranteed
 through ``min(Na + val(b), Nb + val(a))``, a derivative loses one degree,
 dividing by ``z1^k`` loses ``k``.  Consuming more precision than guaranteed
-raises instead of silently truncating.
+raises instead of silently truncating.  An omitted order (None or INF) has one
+rule, ``Series2._resolve_order``: a truncated series' own order, or an exact
+series' degree but never below ``DEFAULT_ORDER`` (16).
 
 An exact product of two tables of at least two terms each is summed on
 integers: each operand is brought to integer (re, im) numerators over the lcm
@@ -346,10 +348,12 @@ class Series2:
     # -- inverses, exp, log and powers ----------------------------------
 
     def _resolve_order(self, order):
-        # no order (None or INF): this series' own order, else DEFAULT_ORDER
-        if order is None or order == INF:
-            return self.order if self.order is not INF else DEFAULT_ORDER
-        return min(order, self.order)
+        # the module's one order rule; a given order is capped at self.order
+        if order is not None and order != INF:
+            return min(order, self.order)
+        if self.order is not INF:
+            return self.order
+        return max([DEFAULT_ORDER] + [i + j for (i, j) in self.coeffs])
 
     def divide(self, den: "Series2", order=None) -> "Series2":
         """The quotient self / den for den = z1^k * u with u a unit.
@@ -456,7 +460,8 @@ class Series2:
                     "Laurent substitution needs inner1 of the form z1*(unit)"
                 )
             lifted = self.div_monomial(-P, 0).substitute(inner1, inner2, order)
-            return lifted.divide(u._int_pow(P, order), order).div_monomial(P, 0)
+            q = lifted.divide(u._int_pow(P, order), lifted._resolve_order(order))
+            return q.div_monomial(P, 0)
         top = min(INF if order is None else order, self.order)
         names = inner1.names
         powers2 = [Series2.const(ctx, ctx.one, top, names)]
@@ -708,9 +713,9 @@ def reverse_map(phi: CoordMap, order=None) -> CoordMap:
     """
     ctx = phi.ctx
     names = phi.names
-    if order is None or order is INF:
-        finite = [o for o in (phi.comp1.order, phi.comp2.order) if o is not INF]
-        order = min(finite) if finite else DEFAULT_ORDER
+    if order is None or order is INF:  # a truncated component bounds the claim
+        comps = [c for c in (phi.comp1, phi.comp2) if c.order is not INF]
+        order = min(c._resolve_order(None) for c in comps or (phi.comp1, phi.comp2))
     a11, a12, a21, a22 = phi.jacobian_origin()
     det = a11 * a22 - a12 * a21
     if ctx.is_zero(det):

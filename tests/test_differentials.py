@@ -281,6 +281,14 @@ def test_multiplicity_examples(exact_ctx):
     assert multiplicity(disc2, z1) == 1
 
 
+def test_multiplicity_of_a_unit_is_inconclusive(exact_ctx):
+    # a unit divides everything: the loop stops at what s holds
+    z1, z2, one, zero = gens(exact_ctx)
+    for s in (z1 * z2, (one + z1).truncated(10)):
+        with pytest.raises(Inconclusive):
+            multiplicity(s, one + z1)
+
+
 def test_core_discriminant_examples(exact_ctx):
     ctx = exact_ctx
     z1, z2, one, zero = gens(ctx)

@@ -118,6 +118,15 @@ def test_an_inf_order_is_no_order(ctx):
     assert u.invert_unit(INF).order == u.invert_unit().order == DEFAULT_ORDER
 
 
+def test_no_order_reads_an_exact_series_through_its_degree(ctx):
+    # 1 + z1^20 is known exactly through degree 20, past DEFAULT_ORDER
+    u = Series2.const(ctx, 1) + Series2.monomial(ctx, 20, 0)
+    assert u._resolve_order(None) == 20
+    for got in (u.invert_unit(), (u - 1).exp(), u.log(), u.sqrt()):
+        assert got.order == 20
+    assert ctx.eq(u.invert_unit().coefficient(20, 0), ctx.from_int(-1))
+
+
 def test_one_term_unit_inverse_keeps_the_units_order(ctx):
     for order in (INF, 5):
         c = Series2.const(ctx, 3, order)

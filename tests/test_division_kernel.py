@@ -291,6 +291,28 @@ def test_perfect_square_root_matches_reference():
             ("form", "top exponent parity 1")} <= verdicts
 
 
+def test_polynomials_past_the_default_order_match_reference():
+    # with no order, an exact input is solved through its degree, at least
+    # DEFAULT_ORDER, by the same rule as every other omitted order
+    orders = set()
+    for seed in range(4):
+        rnd = random.Random(2000 + seed)
+        for _ in range(6):
+            h = rand_divisor(rnd)
+            q = rand_poly2(EXACT, rnd, deg=4, nterms=3) + rand_form(rnd, 18, nterms=2)
+            for s in (q * h, q * h + rand_form(rnd, 20, nterms=1)):
+                got = try_divide(s, h)
+                assert_same(got, ref_try_divide(s, h))
+                orders.add(None if got is None else got.order)
+            delta = rand_form(rnd, 1) + above(rnd, 1, 3) + rand_form(rnd, 10, nterms=2)
+            s = delta * delta + rand_form(rnd, 21, nterms=1)
+            got = perfect_square_root(s)
+            assert_same(got, ref_perfect_square_root(s))
+            orders.add(None if got is None else got.order)
+    # truncated quotients and roots claim past DEFAULT_ORDER
+    assert max(o for o in orders if o not in (None, INF)) > DEFAULT_ORDER
+
+
 def test_odd_top_exponent_is_not_a_square():
     # 2*z1*z2: the top z1-exponent is 1, and sqrt(2) is not a Gaussian rational
     z1 = Series2.variable(EXACT, 0)

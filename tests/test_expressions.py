@@ -225,6 +225,16 @@ def test_eval_float_literal_backend_rules():
         eval_text("0.5*z1", 4, EXACT)
 
 
+def test_literal_refusals_keep_their_errors():
+    # a literal is read by the rule scalar parameters use; overflow stays a
+    # coefficient error, not an exponent error
+    with pytest.raises(ValueError, match="a coefficient is not a finite number"):
+        eval_text("1e400*z1", 4, APPROX)
+    with pytest.raises(BackendMismatch, match="approx \\(decimal\\) literal"):
+        eval_text("1e400*z1", 4, EXACT)
+    assert APPROX.eq(eval_text("1/2*z1", 4, APPROX).coefficient(1, 0), 0.5)
+
+
 def test_eval_exact_constant_exp_raises():
     from symdiff2 import ExactValueError
 

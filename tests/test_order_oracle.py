@@ -10,7 +10,7 @@ import random
 
 from symdiff2 import EXACT, INF, Series2, SymTwoDiff, reverse_map, split
 from symdiff2.cli import run
-from symdiff2.expressions import DifferentialInput
+from symdiff2.expressions import DifferentialInput, eval_text
 from symdiff2.local_forms import analyze_product_form
 
 from conftest import P_NAMES, assert_refines, rand_coordmap, rand_poly2, rand_unit2
@@ -71,6 +71,20 @@ def test_substitute_laurent_outer_at_z1_times_unit():
                 g = laurent_outer(ctx, seed, pole, n)
                 runs.append(g.substitute(z1 * u, zero, n))
             assert_refines(*runs)
+
+
+def test_substitute_laurent_without_an_order_keeps_the_outer_order():
+    # with no order the quotient by u^P is solved through the lifted series'
+    # own order, as the power-series branch composes, not through 16
+    ctx = EXACT
+    z1, z2, one = gens(ctx)
+    g = eval_text("exp(z1+z1^2)", 30, ctx).div_monomial(2, 0)
+    p, zero = z1 * (one + z2), Series2.zero(ctx)
+    got, wide = g.substitute(p, zero), g.substitute(p, zero, 40)
+    assert got.order == wide.order == g.order == 28
+    assert got.eq_through(wide)
+    assert_refines(got, eval_text("exp(z1+z1^2)", 30 + DELTA, ctx).div_monomial(2, 0)
+                   .substitute(p, zero))
 
 
 def test_substitute_laurent_order_is_tight_for_polynomial_inner():
@@ -170,6 +184,38 @@ def test_pipeline_chart_factor_and_residual_refine():
         low, high = runs
         assert_refines(low.chart_factor, high.chart_factor)
         agree_through_low(low.decomposition.residual, high.decomposition.residual)
+
+
+# exact h and r: every quotient of the chart used to stop at DEFAULT_ORDER = 16
+EXACT_FACTORS_W = {"scale": "1+z2", "u": "z1", "r": "z1*(1+z1+z1*z2)"}
+
+
+def test_chart_of_exact_factors_follows_the_truncation():
+    # below 16 the claims fall to N as well: nothing past N is computed
+    for command in ("theorem26", "normal-form", "analyze"):
+        for N in (12, 20, 24):
+            _, text = run([command], json.dumps(
+                {"truncation": N, "backend": "exact", "w": EXACT_FACTORS_W}))
+            results = json.loads(text)["results"]
+            nf = results["normal_form"]
+            got = (results["chart_factor"]["order"], nf["conformal_factor"]["order"],
+                   nf["chart_z2"]["order"])
+            assert got == (N, N, N + 1), (command, N)
+
+
+def test_chart_of_exact_factors_refines():
+    for N in (12, 20):
+        low, high = (
+            analyze_product_form(
+                *DifferentialInput.from_strings(EXACT_FACTORS_W).product_factors(EXACT, n),
+                order=n, solve=False,
+            )
+            for n in (N, N + DELTA)
+        )
+        assert low.chart_factor.order == N
+        assert_refines(low.chart_factor, high.chart_factor)
+        assert_refines(low.normal_form.fout, high.normal_form.fout)
+        assert_refines(low.normal_form.chart.comp2, high.normal_form.chart.comp2)
 
 
 def test_negative_power_in_the_scale_follows_the_truncation():

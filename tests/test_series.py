@@ -325,6 +325,18 @@ def test_reverse_map_random_roundtrips(ctx):
         assert comp.comp2.eq_through(Series2.variable(ctx, 1, order=8))
 
 
+def test_reverse_map_without_an_order_keeps_the_least_finite_order(exact_ctx):
+    # the exact z2 does not lower the claim to DEFAULT_ORDER
+    from symdiff2.expressions import eval_text
+
+    z1, z2, one = gens(exact_ctx)
+    phi = CoordMap(eval_text("z1+z1^2*exp(z2)", 20, exact_ctx), z2)
+    assert phi.comp1.order == 22
+    psi = reverse_map(phi)
+    assert psi.comp1.order == psi.comp2.order == 22
+    assert phi.compose(psi).comp1.eq_through(Series2.variable(exact_ctx, 0, order=22))
+
+
 def test_reverse_map_singular(ctx):
     from symdiff2 import SingularJacobian
 

@@ -56,6 +56,14 @@ MAX_NESTING = 500
 # (n * span_z1 + 1) * (n * span_z2 + 1), holds more terms than this is refused
 # before it is formed.
 MAX_POWER_TERMS = 2048
+# An exact scalar is a pair of fractions of unbounded size.  A folded literal
+# scalar, or a power of an exact scalar, whose numerator or denominator would
+# exceed this many bits is refused before it is formed; a power x**e is
+# estimated as |e| times the bit length of x's largest numerator or
+# denominator.  The cap stays below Python's default limit for converting an
+# int to text (4300 digits, about 14284 bits), so an admitted scalar can be
+# printed in a report.
+MAX_SCALAR_BITS = 1 << 13
 
 # -- AST ---------------------------------------------------------------
 
@@ -282,6 +290,8 @@ def fold_scalar(node) -> ScalarLit:
     """Fold a literal-only expression into a finite scalar; reject variables."""
     try:
         value = _fold(node)
+        if isinstance(value, GaussianRational):
+            _check_scalar_power([value], 1)
         approx = complex(value)
     except OverflowError:  # float arithmetic, or an exact value beyond float range
         approx = None
@@ -322,6 +332,8 @@ def _fold(node):
         if n is None:
             raise ExponentNotScalar("nested fractional powers in an exponent")
         base = _fold(node.base)
+        if isinstance(base, GaussianRational):
+            _check_scalar_power([base], n)
         if n < 0 and not base:
             raise DivisionByNonUnit("negative power of zero in a scalar literal")
         return base ** n if n >= 0 else 1 / (base ** (-n))
@@ -544,6 +556,22 @@ def _check_power_size(s: Series2, n: int):
         )
 
 
+def _check_scalar_power(values, e):
+    """Refuse the exact powers ``x**e`` of ``values`` when one would need more
+    than MAX_SCALAR_BITS bits; 0 and the units +-1, +-i never grow."""
+    e = GaussianRational._coerce(e)
+    size = abs(e.re) + abs(e.im)
+    for x in values:
+        if not x or (abs(x.re), abs(x.im)) in ((1, 0), (0, 1)):
+            continue
+        bits = max(max(abs(q.numerator), q.denominator).bit_length() for q in (x.re, x.im))
+        if size * bits > MAX_SCALAR_BITS:
+            raise ValueError(
+                f"an exact scalar power needs more than MAX_SCALAR_BITS = "
+                f"{MAX_SCALAR_BITS} bits"
+            )
+
+
 def _evn(node, ctx, order):
     one = UnitConstant(ctx)
     names = ("z1", "z2")
@@ -579,6 +607,11 @@ def _evn(node, ctx, order):
     if isinstance(node, Pow):
         e = _lit_value(ctx, node.exponent)
         s, c = _evn(node.base, ctx, order)
+        if ctx.name == "exact":  # a truncated base grows through its constant term
+            terms = s.coeffs.values() if s.order is INF else [s.constant_term]
+            _check_scalar_power([*terms, c.rational], e)
+            for base, x in c.pows:
+                _check_scalar_power([base], x * e)
         n = _as_int(e)
         if n is not None:
             if n < 0:  # solved through the job's order, as a division is

@@ -32,9 +32,14 @@ about one truncated product.  With weight -1 it divides: by a scalar lead in
 ``divide``, every quotient by z1^k times a unit (``invert_unit`` is 1/u), and
 by a leading form in the local-ring quotients and roots of ``differentials``.
 Degree d reads only input parts of degree <= d, so a result is guaranteed
-through exactly the order of its input.  An integer power is repeated
-squaring of the base, or of its inverse when the exponent is negative; it is
-exact only when no order is asked for, and otherwise truncated at that order.
+through exactly the order of its input.  On the exact backend the cross terms
+of a degree are summed on integer numerators as well: each form is brought
+over one denominator when first used, and the Euler weight's 1/e and a scalar
+lead's inverse are applied once per output coefficient.
+
+An integer power is repeated squaring of the base, or of its inverse when the
+exponent is negative; it is exact only when no order is asked for, and
+otherwise truncated at that order.
 
 Composition ``s(inner1, inner2)`` needs inner series that fix the origin and
 is one Horner evaluation over power series, guaranteed through
@@ -518,13 +523,14 @@ class Series2:
 
 
 def _over_one_denominator(coeffs: dict):
-    """(D, [(i, j, i + j, re*D, im*D)]) for an exact table, D the lcm of every
-    real and imaginary denominator, so that each term is a pair of integers."""
+    """(D, [(key, re*D, im*D)]) for an exact table {key: c}, D the lcm of
+    every real and imaginary denominator, so that each value is a pair of
+    integers."""
     D = 1
     for c in coeffs.values():
         D = math.lcm(D, c.re.denominator, c.im.denominator)
-    return D, [(i, j, i + j, c.re.numerator * (D // c.re.denominator),
-                c.im.numerator * (D // c.im.denominator)) for (i, j), c in coeffs.items()]
+    return D, [(k, c.re.numerator * (D // c.re.denominator),
+                c.im.numerator * (D // c.im.denominator)) for k, c in coeffs.items()]
 
 
 def _exact_product(a: dict, b: dict, order) -> dict:
@@ -533,6 +539,8 @@ def _exact_product(a: dict, b: dict, order) -> dict:
     one Fraction per output coefficient."""
     Da, ta = _over_one_denominator(a)
     Db, tb = _over_one_denominator(b)
+    ta = [(i, j, i + j, r, m) for (i, j), r, m in ta]
+    tb = [(i, j, i + j, r, m) for (i, j), r, m in tb]
     if order is INF:  # a bound no pair reaches
         order = max(t[2] for t in ta) + max(t[2] for t in tb)
     re, im = {}, {}
@@ -608,38 +616,107 @@ def _graded_solve(ctx, target, lead, solved, cross=None, euler=None, qdeg=0):
     lead * q_e = target_e + sum_{k>=1} w(k, e) * cross_k * q_{e-k}.
 
     w is the Euler weight (a*k - b*e)/e for ``euler = (a, b)`` (exp, log,
-    powers), else -1 (quotients, roots).  ``lead`` is a scalar, or a form
-    divided out exactly at each degree; ``cross`` defaults to q itself (a
-    square root, lead 2*q_0).  None when a division by the form fails.
+    powers; b an int), else -1 (quotients, roots).  ``lead`` is a scalar, or a
+    form divided out exactly at each degree; ``cross`` defaults to q itself (a
+    square root, lead 2*q_0).  None when a division by the form fails.  On the
+    exact backend the sum of each degree runs on integer numerators
+    (``_exact_cross``), which also applies a scalar lead's inverse.
     """
     q = list(solved)
     square = cross is None
     cross = q if square else cross
     scale = None if isinstance(lead, dict) or lead == ctx.one else ctx.inv(lead)
+    exact = ctx.name == "exact"
+    if exact:
+        qt = [None] * len(target)  # integer tables of q_j and cross_k, made on first use
+        ct = qt if square else [None] * len(cross)
+        inv = _over_one_denominator({0: ctx.one if scale is None else scale})
+        if euler:
+            wden, ((_, ar, ai),) = _over_one_denominator({0: euler[0]})
     for e in range(len(q), len(target)):
-        acc = dict(target[e])
-        einv = ctx.from_rational(Fraction(1, e)) if euler else None
-        for k in range(1, (e // 2 if square else min(e, len(cross) - 1)) + 1):
-            lower, part = q[e - k], cross[k]
-            w = (euler[0] * k - euler[1] * e) * einv if euler else None
-            if not lower or not part or (euler and not w):
-                continue
-            twice = square and 2 * k < e  # q_k q_{e-k} stands for q_{e-k} q_k too
-            for x1, c1 in part.items():
-                c1 = -c1 if w is None else c1 * w
-                c1 = c1 + c1 if twice else c1
-                for x2, c2 in lower.items():
-                    key = x1 + x2
-                    p = c1 * c2
-                    acc[key] = acc[key] + p if key in acc else p
+        ks = range(1, (e // 2 if square else min(e, len(cross) - 1)) + 1)
+        if exact:
+            terms = []
+            for k in ks:
+                if not q[e - k] or not cross[k]:
+                    continue
+                wr, wi = (ar * k - euler[1] * e * wden, ai * k) if euler else (-1, 0)
+                if wr or wi:
+                    f = 2 if square and 2 * k < e else 1
+                    terms.append((f * wr, f * wi, _int_table(ct, cross, k),
+                                  _int_table(qt, q, e - k)))
+            acc = _exact_cross(target[e], terms, wden * e if euler else 1, inv)
+        else:
+            acc = dict(target[e])
+            einv = ctx.from_rational(Fraction(1, e)) if euler else None
+            for k in ks:
+                lower, part = q[e - k], cross[k]
+                w = (euler[0] * k - euler[1] * e) * einv if euler else None
+                if not lower or not part or (euler and not w):
+                    continue
+                twice = square and 2 * k < e  # q_k q_{e-k} stands for q_{e-k} q_k too
+                for x1, c1 in part.items():
+                    c1 = -c1 if w is None else c1 * w
+                    c1 = c1 + c1 if twice else c1
+                    for x2, c2 in lower.items():
+                        key = x1 + x2
+                        p = c1 * c2
+                        acc[key] = acc[key] + p if key in acc else p
         if isinstance(lead, dict):
             qe = _homog_div(acc, lead, ctx, qdeg + e)
             if qe is None:
                 return None
+        elif exact:
+            qe = acc
         else:
             qe = {x: c if scale is None else c * scale for x, c in acc.items() if c}
         q.append(qe)
     return q
+
+
+def _int_table(tables, forms, i):
+    """forms[i] over one denominator (``_over_one_denominator``), kept in
+    tables[i] after its first use."""
+    if tables[i] is None:
+        tables[i] = _over_one_denominator(forms[i])
+    return tables[i]
+
+
+def _exact_cross(target: dict, terms: list, den: int, inv) -> dict:
+    """inv * (target + S / den) as {x: GaussianRational}, zero coefficients
+    dropped, where S sums (wr + i*wi) * part * lower over ``terms``
+    [(wr, wi, part, lower)] of integer weights and ``_int_table`` tables, and
+    ``inv`` is a scalar over one denominator (``_over_one_denominator``).
+    The terms are summed on integers over the lcm of their denominators, and
+    each output coefficient is one Fraction per part."""
+    L = 1
+    for _, _, part, lower in terms:
+        L = math.lcm(L, part[0] * lower[0])
+    Dt, tt = _over_one_denominator(target)
+    M = math.lcm(Dt, L * den)
+    f = M // Dt
+    re = {x: r * f for x, r, _ in tt}
+    im = {x: m * f for x, _, m in tt}
+    s = M // (L * den)
+    for wr, wi, (Dp, tp), (Dq, tq) in terms:
+        f = s * (L // (Dp * Dq))
+        wr, wi = wr * f, wi * f
+        for x1, r1, m1 in tp:
+            r1, m1 = r1 * wr - m1 * wi, r1 * wi + m1 * wr
+            for x2, r2, m2 in tq:
+                x = x1 + x2
+                re[x] = re.get(x, 0) + (r1 * r2 - m1 * m2)
+                im[x] = im.get(x, 0) + (r1 * m2 + m1 * r2)
+    Dl, ((_, lr, li),) = inv
+    D = M * Dl
+    zero = Fraction(0)
+    out = {}
+    for x, n in re.items():
+        m = im[x]
+        n, m = n * lr - m * li, n * li + m * lr
+        if n or m:
+            out[x] = GaussianRational(Fraction(n, D), Fraction(m, D) if m else zero)
+    return out
 
 
 def _as_int(e):

@@ -288,6 +288,33 @@ def test_exact_powers_above_the_term_cap_are_refused_before_they_are_formed():
             assert "MAX_POWER_TERMS" in json.loads(out.stdout)["error"]["message"], a
 
 
+SCALAR_CAP_CHILD = """
+import json, sys
+from symdiff2.cli import run
+out = []
+for a in sys.argv[1:]:
+    job = {"truncation": 8, "backend": "exact", "w": {"a": a, "b": "0", "c": "1"}}
+    code, text = run(["closedness"], json.dumps(job))
+    out.append([code, json.loads(text).get("error", {}).get("message", "")])
+print(json.dumps(out))
+"""
+
+
+def test_exact_scalars_above_the_bit_cap_are_refused_before_they_are_formed():
+    # one interpreter under a timeout: each of these powers ran unbounded
+    # (ROADMAP item 7); a constant, a monomial, a folded exponent, and a root
+    # whose power is taken when the unit constants are collapsed
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    inputs = ["3^(10^9)*z1+1", "(3*z1)^(10^9)+1", "z1^(2^(10^9))+1",
+              "((4+z1)^(1/2))^(2*10^9)", "3^(10^3)*z1+1"]
+    out = subprocess.run([sys.executable, "-c", SCALAR_CAP_CHILD, *inputs], env=env,
+                         capture_output=True, text=True, timeout=30)
+    got = json.loads(out.stdout)
+    for a, (code, message) in zip(inputs[:-1], got):
+        assert code == EXIT_INPUT and "MAX_SCALAR_BITS" in message, a
+    assert got[-1][0] == EXIT_OK
+
+
 def test_json_booleans_and_strings_are_not_integers_or_lists():
     # bool is an int subclass, and a string iterates one character at a time
     bad = [

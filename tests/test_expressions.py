@@ -13,6 +13,7 @@ from symdiff2.errors import (
 )
 from symdiff2.expressions import (
     MAX_POWER_TERMS,
+    MAX_SCALAR_BITS,
     Bin,
     Call,
     DifferentialInput,
@@ -192,6 +193,43 @@ def test_power_cap_counts_the_box_of_exponents(ctx):
         _check_power_size(s, 10**9)  # a monomial power is one term
     with pytest.raises(ValueError, match="MAX_POWER_TERMS"):
         eval_text("(1+z1)^3000*0+1", 8, ctx)
+
+
+def test_scalar_power_cap_estimates_the_bits_before_forming():
+    from symdiff2.expressions import _check_scalar_power
+
+    three = EXACT.from_rational(3)  # 2 bits
+    _check_scalar_power([three], MAX_SCALAR_BITS // 2)
+    with pytest.raises(ValueError, match="MAX_SCALAR_BITS"):
+        _check_scalar_power([three], MAX_SCALAR_BITS // 2 + 1)
+    # a denominator, an imaginary part and a negative or fractional exponent count
+    for x, e in ((Fraction(1, 3), MAX_SCALAR_BITS // 2 + 1), ((0, 3), -MAX_SCALAR_BITS),
+                 (3, Fraction(MAX_SCALAR_BITS + 1, 2))):
+        with pytest.raises(ValueError, match="MAX_SCALAR_BITS"):
+            _check_scalar_power([EXACT.from_rational(*x) if isinstance(x, tuple)
+                                 else EXACT.from_rational(x)], e)
+    # the powers of 0 and of the units +-1, +-i never grow
+    for re, im in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+        _check_scalar_power([EXACT.from_rational(re, im)], 10**12)
+    assert eval_text("i^(10^9)*z1+(-1)^(10^9+1)", 4, EXACT).coeffs == {
+        (0, 0): EXACT.from_rational(-1), (1, 0): EXACT.one}
+    # each power is under the cap, their folded product is not
+    with pytest.raises(ValueError, match="MAX_SCALAR_BITS"):
+        parse("z1^(2^3000*2^3000*2^3000)")
+
+
+def test_folded_powers_are_refused_before_they_are_formed(monkeypatch):
+    # 2^(10^9) would be formed (10^9 bits) and only then refused by its size
+    from symdiff2.expressions import ScalarLit, fold_scalar
+
+    def formed(self, e):
+        raise AssertionError("the power was formed")
+
+    big = ScalarLit(GaussianRational(10**9), 1e9)
+    node = Pow(Num(Fraction(2)), big)
+    monkeypatch.setattr(GaussianRational, "__pow__", formed)
+    with pytest.raises(ValueError, match="MAX_SCALAR_BITS"):
+        fold_scalar(node)
 
 
 def test_eval_integer_powers_of_non_units(ctx):

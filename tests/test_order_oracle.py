@@ -8,7 +8,7 @@ must agree with the higher run; a claim one degree too long fails here.
 import json
 import random
 
-from symdiff2 import EXACT, INF, Series2, SymTwoDiff, reverse_map, split
+from symdiff2 import EXACT, INF, Series2, SymTwoDiff, brioschi_numerator, reverse_map, split
 from symdiff2.cli import run
 from symdiff2.expressions import DifferentialInput, eval_text
 from symdiff2.local_forms import analyze_product_form
@@ -117,6 +117,77 @@ def test_divide_refines():
                 runs.append(num.divide(u * Series2.monomial(ctx, k, 0), n))
             assert runs[0].order == N - pole - k
             assert_refines(*runs)
+
+
+# -- ring operations and calculus, at N and N + 4 ------------------------------
+
+STEP = 4
+
+
+def truncated_operand(ctx, seed, N, i0, j0):
+    """z1^i0 z2^j0 times a series known through degree N; i0 < 0 is a pole."""
+    s = tail_series(ctx, seed, N)
+    s = s.div_monomial(-i0, 0) if i0 < 0 else s * Series2.monomial(ctx, i0, 0)
+    return s * Series2.monomial(ctx, 0, j0)
+
+
+def test_product_of_truncated_operands_refines():
+    # the claim min(Na + val b, Nb + val a), with a pole, a valuation or an
+    # exact polynomial on either side
+    ctx = EXACT
+    for seed in range(16):
+        rnd = random.Random(500 + seed)
+        Na, Nb = rnd.randint(3, 7), rnd.randint(3, 7)
+        ia, ja, ib, jb = rnd.randint(-2, 2), rnd.randint(0, 2), rnd.randint(0, 2), rnd.randint(0, 2)
+        exact_b = seed % 4 == 3
+        runs = []
+        for step in (0, STEP):
+            a = truncated_operand(ctx, seed, Na + step, ia, ja)
+            b = (rand_poly2(ctx, random.Random(600 + seed), deg=3, nterms=4) if exact_b
+                 else truncated_operand(ctx, 700 + seed, Nb + step, ib, jb))
+            runs.append((a, b, a * b))
+        (a, b, low), (_, _, high) = runs
+        assert low.order == min(a.order + b.valuation, b.order + a.valuation)
+        assert_refines(low, high)
+
+
+def test_derive_refines():
+    ctx = EXACT
+    for seed in range(8):
+        N, i0, j0 = 4 + seed % 4, seed % 3 - 1, seed % 2
+        for axis in (0, 1):
+            low, high = (truncated_operand(ctx, seed, n, i0, j0).derive(axis)
+                         for n in (N, N + STEP))
+            assert low.order == N + i0 + j0 - 1
+            assert_refines(low, high)
+
+
+def test_div_monomial_refines():
+    # dividing by z1^k beyond the valuation makes a pole
+    ctx = EXACT
+    for seed in range(8):
+        N, i0, j0 = 4 + seed % 4, seed % 3, seed % 2
+        k = i0 + seed % 2
+        low, high = (truncated_operand(ctx, seed, n, i0, j0).div_monomial(k, j0)
+                     for n in (N, N + STEP))
+        assert low.order == N + i0 - k
+        assert_refines(low, high)
+
+
+# not closed: its curvature numerator has nonzero terms at every truncation
+BRIOSCHI_W = {"a": "exp(z1*z2)", "b": "z1+z2*exp(z2)", "c": "1+z2^2*exp(z1)"}
+
+
+def test_brioschi_numerator_refines():
+    for W in (BRIOSCHI_W, M3_TWIN_W):
+        for N in (6, 9):
+            low, high = (
+                brioschi_numerator(SymTwoDiff(
+                    *DifferentialInput.from_strings(W).coefficient_triple(EXACT, n)))
+                for n in (N, N + STEP)
+            )
+            assert low.order is not INF and low.order < high.order
+            assert_refines(low, high)
 
 
 def test_reverse_map_refines():

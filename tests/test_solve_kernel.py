@@ -1,0 +1,193 @@
+"""Oracle for the integer cross sums behind the exact graded solve.
+
+``ref_graded_solve`` below is the solver as it was before the exact backend
+summed on integer numerators: one Gaussian-rational product and sum per pair
+of terms, the Euler weight and the lead's inverse applied as scalars.  The
+approx backend still runs that loop.  On seeded random exact inputs the
+solver must reproduce its forms (values and key order) and its None verdicts,
+through every path: a scalar lead of 1 or another scalar, a leading form that
+divides or does not, the square path, Euler weights with rational and
+Gaussian ``a`` (some vanishing at some k), and cross sums that cancel to 0.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from symdiff2 import EXACT, INF, Series2
+from symdiff2.series import _forms, _graded_solve, _homog_div
+
+ctx = EXACT
+
+
+def ref_graded_solve(ctx, target, lead, solved, cross=None, euler=None, qdeg=0):
+    q = list(solved)
+    square = cross is None
+    cross = q if square else cross
+    scale = None if isinstance(lead, dict) or lead == ctx.one else ctx.inv(lead)
+    for e in range(len(q), len(target)):
+        acc = dict(target[e])
+        einv = ctx.from_rational(Fraction(1, e)) if euler else None
+        for k in range(1, (e // 2 if square else min(e, len(cross) - 1)) + 1):
+            lower, part = q[e - k], cross[k]
+            w = (euler[0] * k - euler[1] * e) * einv if euler else None
+            if not lower or not part or (euler and not w):
+                continue
+            twice = square and 2 * k < e
+            for x1, c1 in part.items():
+                c1 = -c1 if w is None else c1 * w
+                c1 = c1 + c1 if twice else c1
+                for x2, c2 in lower.items():
+                    key = x1 + x2
+                    p = c1 * c2
+                    acc[key] = acc[key] + p if key in acc else p
+        if isinstance(lead, dict):
+            qe = _homog_div(acc, lead, ctx, qdeg + e)
+            if qe is None:
+                return None
+        else:
+            qe = {x: c if scale is None else c * scale for x, c in acc.items() if c}
+        q.append(qe)
+    return q
+
+
+def assert_same_solve(*args, **kw):
+    """Both solvers on the same input; returns the reference's result."""
+    want = ref_graded_solve(ctx, *args, **kw)
+    got = _graded_solve(ctx, *args, **kw)
+    if want is None:
+        assert got is None
+    else:
+        assert [list(f.items()) for f in got] == [list(f.items()) for f in want]
+    return want
+
+
+def rand_scalar(rnd, complex_ok, nonzero=False):
+    while True:
+        re = Fraction(rnd.randint(-12, 12), rnd.choice((1, 1, 2, 3, 5, 6, 7, 12)))
+        im = (Fraction(rnd.randint(-5, 5), rnd.choice((1, 2, 9)))
+              if complex_ok and rnd.random() < 0.5 else 0)
+        if re or im or not nonzero:
+            return ctx.from_rational(re, im)
+
+
+def rand_form(rnd, deg, complex_ok):
+    """A form of degree ``deg`` as {z1-exponent: c}: empty, one term or more."""
+    n = rnd.choice((0, 1, 1, 2, 3, deg + 1))
+    out = {}
+    for _ in range(n):
+        c = rand_scalar(rnd, complex_ok)
+        if c:
+            out[rnd.randint(0, deg)] = c
+    return out
+
+
+def rand_poly(rnd, lo, hi, nterms, complex_ok):
+    terms = {}
+    for _ in range(nterms):
+        d = rnd.randint(lo, hi)
+        x = rnd.randint(0, d)
+        terms[(x, d - x)] = rand_scalar(rnd, complex_ok)
+    return Series2(ctx, terms, INF)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scalar_lead_quotients(seed):
+    # lead * q_e = target_e - sum_k cross_k q_{e-k}: lead 1, or another scalar
+    rnd = random.Random(seed)
+    for _ in range(40):
+        complex_ok = rnd.random() < 0.5
+        n = rnd.randint(1, 10)
+        target = [rand_form(rnd, e, complex_ok) for e in range(n)]
+        cross = [{}] + [rand_form(rnd, k, complex_ok) for k in range(1, rnd.randint(1, n + 1))]
+        lead = ctx.one if rnd.random() < 0.4 else rand_scalar(rnd, complex_ok, nonzero=True)
+        assert_same_solve(target, lead, [], cross)
+        assert_same_solve(target, lead, [rand_form(rnd, 0, complex_ok)], cross)
+
+
+# Euler weights (a*k - b*e)/e: a = b*e/k vanishes at that k, a = b = 0 at every k
+EULER = [(1, 0), (1, 1), (2, 1), (Fraction(1, 2), 1), (Fraction(3, 2), 1), (0, 0),
+         (Fraction(-2, 3), 1), ((Fraction(3, 2), 1), 1), ((0, Fraction(1, 3)), 0)]
+
+
+@pytest.mark.parametrize("a,b", EULER, ids=[str(w) for w in EULER])
+def test_euler_weights(a, b):
+    rnd = random.Random(f"{a}/{b}")
+    a = ctx.from_rational(*a) if isinstance(a, tuple) else ctx.from_rational(a)
+    for _ in range(30):
+        complex_ok = rnd.random() < 0.5
+        n = rnd.randint(1, 11)
+        parts = [{0: ctx.one}] + [rand_form(rnd, k, complex_ok) for k in range(1, n)]
+        lead = ctx.one if rnd.random() < 0.7 else rand_scalar(rnd, complex_ok, nonzero=True)
+        # exp and powers: no target, q_0 = 1; log: the parts are the target
+        assert_same_solve([{}] * n, lead, [{0: ctx.one}], parts, (a, b))
+        assert_same_solve(parts, lead, [{}], parts, (a, b))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_form_lead_divisions(seed):
+    # the local-ring quotient s / h of differentials.try_divide: a leading form
+    # divided out at each degree, None when it does not divide
+    rnd = random.Random(100 + seed)
+    verdicts = set()
+    for _ in range(40):
+        complex_ok = rnd.random() < 0.5
+        d = rnd.randint(1, 3)
+        h = rand_poly(rnd, d, d + 3, rnd.randint(1, 6), complex_ok)
+        if h.valuation != d:
+            continue
+        s = rand_poly(rnd, 0, 4, rnd.randint(1, 6), complex_ok) * h
+        bound = rnd.randint(d, d + 8)
+        hparts = _forms(h, d, bound)
+        # a multiple of h, and one that usually is not
+        for t in (s, s + rand_poly(rnd, d, d + 5, rnd.randint(1, 3), complex_ok)):
+            want = assert_same_solve(_forms(t, d, bound), hparts[0], [], hparts)
+            verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_square_path(seed):
+    # cross = q itself: a scalar lead (differentials._homog_sqrt) and a
+    # leading form (perfect_square_root), through odd and even degrees
+    rnd = random.Random(200 + seed)
+    verdicts = set()
+    for _ in range(50):
+        complex_ok = rnd.random() < 0.5
+        n = rnd.choice((2, 3, 6, 7, 10))
+        q0 = rand_scalar(rnd, complex_ok, nonzero=True)
+        target = [{0: q0 * q0}] + [rand_form(rnd, 0, complex_ok) for _ in range(1, n)]
+        assert_same_solve(target, q0 + q0, [{0: q0}])
+        d = rnd.randint(0, 2)
+        delta = rand_poly(rnd, d, d + 4, rnd.randint(1, 6), complex_ok)
+        if delta.valuation != d:
+            continue
+        s = delta * delta
+        root = _forms(delta, d, d)[0]
+        lead = {x: c + c for x, c in root.items()}
+        # a square, and one that usually is not
+        for t in (s, s + rand_poly(rnd, 2 * d + 1, 2 * d + 4, 1, complex_ok)):
+            want = assert_same_solve(_forms(t, 2 * d, 2 * d + n), lead, [root], qdeg=d)
+            verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def test_cross_sums_that_cancel_to_zero():
+    rnd = random.Random(300)
+    for _ in range(30):
+        complex_ok = rnd.random() < 0.5
+        u = rand_poly(rnd, 1, 4, rnd.randint(2, 6), complex_ok) + rand_scalar(
+            rnd, complex_ok, nonzero=True)
+        p = rand_poly(rnd, 0, 3, rnd.randint(1, 4), complex_ok)
+        # (p * u) / u: past p's degree every target cancels the cross sum
+        top = 9
+        q = assert_same_solve(_forms(p * u, 0, top), u.constant_term, [], _forms(u, 0, top))
+        assert not any(q[4:])
+        # (1 + z1 + i z2)^2 to the power 1/2: the cross sums alone cancel
+        v = Series2(ctx, {(0, 0): ctx.one, (1, 0): rand_scalar(rnd, complex_ok),
+                          (0, 1): rand_scalar(rnd, complex_ok)}, INF)
+        parts = _forms(v * v, 0, top)
+        q = assert_same_solve([{}] * (top + 1), ctx.one, [{0: ctx.one}], parts,
+                              (ctx.from_rational(Fraction(3, 2)), 1))
+        assert not any(q[2:])

@@ -66,17 +66,6 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_PRECISION = 3
 
-COMMANDS = (
-    "analyze",
-    "split",
-    "closedness",
-    "decompose",
-    "normal-form",
-    "theorem26",
-    "classify",
-    "monodromy",
-)
-
 _LEADING_TERMS = 10
 
 
@@ -440,6 +429,7 @@ _RUNNERS = {
     "classify": _run_classify,
     "monodromy": _run_monodromy,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 # -- report assembly -------------------------------------------------------

@@ -16,7 +16,9 @@ multiplicities measured along each component series.
 Component multiplicities are computed by exact division in the local series
 ring.  Division and the square root behind splitting, of a unit or not, call
 the graded solver of ``series`` with one exact homogeneous division per
-degree.  Irreducible components are supplied explicitly as polynomials (the
+degree; the root runs Miller's recurrence for the power 1/2, the one behind
+``Series2.sqrt``, so both root paths sum on the exact backend's one integer
+kernel.  Irreducible components are supplied explicitly as polynomials (the
 coordinate axes in all the worked cases); no factorization is attempted.
 """
 
@@ -188,20 +190,26 @@ def try_divide(s: Series2, h: Series2, order=None):
     return q.truncated(bound - d)
 
 
+def _root_weights(ctx):
+    """Miller's Euler weights (alpha + 1, 1) for the power alpha = 1/2."""
+    return ctx.from_rational(Fraction(3, 2)), 1
+
+
 def _homog_sqrt(F: dict, ctx):
     """Square root of a form in x-encoding, or None when it is not a square.
 
-    In y = top - x the root is a power series from sqrt(F[top]); F is a square
-    exactly when that series, solved through y^top, stops at y^(top/2).  May
-    raise ExactValueError when sqrt(F[top]) is not an exact scalar.
+    In y = top - x the root is a power series from sqrt(F[top]), solved by
+    Miller's recurrence with the scalar lead F[top]; F is a square exactly
+    when that series, solved through y^top, stops at y^(top/2).  May raise
+    ExactValueError when sqrt(F[top]) is not an exact scalar.
     """
     top = max(F)
     if top % 2:
         return None
     m = top // 2
-    lead = ctx.sqrt(F[top])
     rev = [{0: F[top - e]} if top - e in F else {} for e in range(top + 1)]
-    p = _graded_solve(ctx, rev, lead * ctx.from_int(2), [{0: lead}])
+    p = _graded_solve(ctx, [{}] * (top + 1), F[top], [{0: ctx.sqrt(F[top])}], rev,
+                      _root_weights(ctx))
     if any(not ctx.is_zero(c) for form in p[m + 1:] for c in form.values()):
         return None
     return {m - e: c for e, form in enumerate(p[: m + 1]) for c in form.values()}
@@ -210,10 +218,13 @@ def _homog_sqrt(F: dict, ctx):
 def perfect_square_root(s: Series2, order=None):
     """A series delta with delta^2 = s through the guaranteed order, or None.
 
-    The lowest form of s must be the square of a form; each higher degree of
-    delta is one exact homogeneous division by twice that root, so delta^2 = s
-    wherever the solve succeeds.  This covers units and square discriminants
-    whose vanishing is not aligned with the coordinate axes.
+    The lowest form F_0 of s must be the square of a form q_0.  Each higher
+    degree of delta is one exact homogeneous division by F_0 in Miller's
+    recurrence for the power 1/2 (Euler weights (3/2, 1), the recurrence of
+    ``Series2.sqrt``), which succeeds through a degree exactly when a root
+    exists through it, so delta^2 = s wherever the solve succeeds.  This
+    covers units and square discriminants whose vanishing is not aligned
+    with the coordinate axes.
     """
     ctx = s.ctx
     if s.is_zero() or s.pole:
@@ -223,12 +234,12 @@ def perfect_square_root(s: Series2, order=None):
         return None
     d = v // 2
     bound = s._resolve_order(order)
-    target = _forms(s, v, max(v, bound))
-    root = _homog_sqrt(target[0], ctx)
+    parts = _forms(s, v, max(v, bound))
+    root = _homog_sqrt(parts[0], ctx)
     if root is None:
         return None
-    lead = {x: c * ctx.from_int(2) for x, c in root.items()}
-    forms = _graded_solve(ctx, target, lead, [root], qdeg=d)
+    forms = _graded_solve(ctx, [{}] * len(parts), parts[0], [root], parts,
+                          _root_weights(ctx), qdeg=d)
     if forms is None:
         return None
     exact = s.order is INF and len(s.coeffs) == 1  # the root of a monomial

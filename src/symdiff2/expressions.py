@@ -42,7 +42,7 @@ from .errors import (
     ExprSyntaxError,
     NotAUnit,
 )
-from .scalars import GaussianRational, ScalarContext
+from .scalars import MAX_SCALAR_BITS, GaussianRational, ScalarContext
 from .series import INF, Series2, _as_int
 
 # -- limits on one expression ------------------------------------------
@@ -56,14 +56,10 @@ MAX_NESTING = 500
 # (n * span_z1 + 1) * (n * span_z2 + 1), holds more terms than this is refused
 # before it is formed.
 MAX_POWER_TERMS = 2048
-# An exact scalar is a pair of fractions of unbounded size.  A folded literal
-# scalar, or a power of an exact scalar, whose numerator or denominator would
-# exceed this many bits is refused before it is formed; a power x**e is
-# estimated as |e| times the bit length of x's largest numerator or
-# denominator.  The cap stays below Python's default limit for converting an
-# int to text (4300 digits, about 14284 bits), so an admitted scalar can be
-# printed in a report.
-MAX_SCALAR_BITS = 1 << 13
+# A folded literal scalar, or a power of an exact scalar, whose numerator or
+# denominator would exceed scalars.MAX_SCALAR_BITS is refused before it is
+# formed; a power x**e is estimated as |e| times the bit length of x's largest
+# numerator or denominator.
 
 # -- AST ---------------------------------------------------------------
 

@@ -24,6 +24,11 @@ from fractions import Fraction
 from .errors import ExactValueError
 
 DEFAULT_TOLERANCE = 1e-9
+# An exact scalar is a pair of fractions of unbounded size.  No numerator or
+# denominator above this many bits is formed from the input (see
+# ``expressions``) or formatted; the cap stays below Python's default limit
+# for converting an int to text (4300 digits, about 14284 bits).
+MAX_SCALAR_BITS = 1 << 13
 
 _FR0 = Fraction(0)
 _FR1 = Fraction(1)
@@ -187,6 +192,11 @@ def _fmt_fraction(q: Fraction) -> str:
 
 
 def format_exact(x: GaussianRational) -> str:
+    """The canonical text of x; ValueError above MAX_SCALAR_BITS bits."""
+    bits = max(max(abs(q.numerator), q.denominator).bit_length() for q in (x.re, x.im))
+    if bits > MAX_SCALAR_BITS:
+        raise ValueError(f"an exact coefficient needs more than MAX_SCALAR_BITS = "
+                         f"{MAX_SCALAR_BITS} bits to print")
     if not x.im:
         return _fmt_fraction(x.re)
     sign = "-" if x.im < 0 else "+"

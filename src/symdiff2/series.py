@@ -16,26 +16,28 @@ raises instead of silently truncating.  An omitted order (None or INF) has one
 rule, ``Series2._resolve_order``: a truncated series' own order, or an exact
 series' degree but never below ``DEFAULT_ORDER`` (16).
 
-An exact product of two tables of at least two terms each is summed on
-integers: each operand is brought to integer (re, im) numerators over the lcm
-of its denominators, as FLINT's ``fmpq_poly`` stores a polynomial (Hart,
-ICMS 2010), and only the output coefficients become fractions again.  A
-product with a one-term operand, where that conversion costs more than it
-saves, and every approx product form the scalar products pair by pair.
+One integer kernel, ``_exact_sum``, serves every exact convolution: each
+table is brought to integer (re, im) numerators over the lcm of its
+denominators, as FLINT's ``fmpq_poly`` stores a polynomial (Hart, ICMS 2010),
+weighted products are summed on integers, and only the outputs become
+fractions again.  It forms every exact product of two tables of at least two
+terms each; a product with a one-term operand, where that conversion costs
+more than it saves, and every approx product form the scalar products pair
+by pair.
 
 One graded solver finds every series fixed degree by degree: at degree e it
 divides a target part plus weighted cross terms of lower degrees by a leading
 scalar or form.  With the weights of the Euler operator ``z1*d/dz1 +
 z2*d/dz2`` (Brent-Kung for exp/log, J.C.P. Miller for powers) it gives
 ``exp``, ``log`` and fractional ``pow_scalar`` (``sqrt`` is the power 1/2) for
-about one truncated product.  With weight -1 it divides: by a scalar lead in
+about one truncated product, and with a leading form the roots of
+``differentials``.  With weight -1 it divides: by a scalar lead in
 ``divide``, every quotient by z1^k times a unit (``invert_unit`` is 1/u), and
-by a leading form in the local-ring quotients and roots of ``differentials``.
-Degree d reads only input parts of degree <= d, so a result is guaranteed
-through exactly the order of its input.  On the exact backend the cross terms
-of a degree are summed on integer numerators as well: each form is brought
-over one denominator when first used, and the Euler weight's 1/e and a scalar
-lead's inverse are applied once per output coefficient.
+by a leading form in the local-ring quotients of ``differentials``.  Degree d
+reads only input parts of degree <= d, so a result is guaranteed through
+exactly the order of its input.  On the exact backend each degree is one call
+of the integer kernel, which also applies the Euler weight's 1/e and a scalar
+lead's inverse once per output coefficient.
 
 An integer power is repeated squaring of the base, or of its inverse when the
 exponent is negative; it is exact only when no order is asked for, and
@@ -240,8 +242,8 @@ class Series2:
                 min(self.order + other.valuation, other.order + self.valuation)
             )
         if self.ctx.name == "exact" and len(self.coeffs) > 1 and len(other.coeffs) > 1:
-            return Series2(self.ctx, _exact_product(self.coeffs, other.coeffs, order),
-                           order, self.names)
+            a, b = _over_one_denominator(self.coeffs), _over_one_denominator(other.coeffs)
+            return Series2(self.ctx, _exact_sum([(1, 0, a, b)], order), order, self.names)
         out = {}
         finite = order is not INF
         bitems = list(other.coeffs.items())
@@ -522,52 +524,80 @@ class Series2:
         return f"Series2({self})"
 
 
-def _over_one_denominator(coeffs: dict):
-    """(D, [(key, re*D, im*D)]) for an exact table {key: c}, D the lcm of
-    every real and imaginary denominator, so that each value is a pair of
-    integers."""
+def _over_one_denominator(coeffs: dict, deg=None):
+    """(D, rows, real) for an exact table {(i, j): c}, or for a form {x: c} of
+    degree ``deg`` keyed (x, deg - x): D is the lcm of every real and imaginary
+    denominator, rows are [(i, j, i + j, re*D, im*D)] of integers, and real
+    says that every im*D is 0."""
     D = 1
     for c in coeffs.values():
         D = math.lcm(D, c.re.denominator, c.im.denominator)
-    return D, [(k, c.re.numerator * (D // c.re.denominator),
-                c.im.numerator * (D // c.im.denominator)) for k, c in coeffs.items()]
+    rows = []
+    for k, c in coeffs.items():
+        i, j = k if deg is None else (k, deg - k)
+        rows.append((i, j, i + j, c.re.numerator * (D // c.re.denominator),
+                     c.im.numerator * (D // c.im.denominator)))
+    return D, rows, not any(t[4] for t in rows)
 
 
-def _exact_product(a: dict, b: dict, order) -> dict:
-    """The exact product table of a and b through ``order``: integer sums over
-    the one denominator Da*Db (as FLINT's fmpq_poly keeps a polynomial) and
-    one Fraction per output coefficient."""
-    Da, ta = _over_one_denominator(a)
-    Db, tb = _over_one_denominator(b)
-    ta = [(i, j, i + j, r, m) for (i, j), r, m in ta]
-    tb = [(i, j, i + j, r, m) for (i, j), r, m in tb]
-    if order is INF:  # a bound no pair reaches
-        order = max(t[2] for t in ta) + max(t[2] for t in tb)
+def _exact_sum(terms: list, order, target=None, den: int = 1, inv=None) -> dict:
+    """inv * (target + S / den) as {(i, j): GaussianRational} through
+    ``order``, zero coefficients dropped.  S sums (wr + i*wi) * a * b over
+    ``terms`` [(wr, wi, a, b)] of integer weights and ``_over_one_denominator``
+    tables, skipping pairs beyond ``order``; ``target`` is such a table or
+    None, and ``inv`` the one-row table of a scalar or None for 1.  The sum
+    runs on integers over the lcm of the denominators, as FLINT's fmpq_poly
+    keeps a polynomial, with one loop for real tables and weights, and each
+    output part is one Fraction.  Keys come in the order first seen: the
+    target's, then each term's pairs."""
+    L = 1
+    for _, _, a, b in terms:
+        L = math.lcm(L, a[0] * b[0])
+    M = L * den
     re, im = {}, {}
-    if any(t[4] for t in ta) or any(t[4] for t in tb):
+    if target is not None:
+        Dt, rows, _ = target
+        M = math.lcm(Dt, M)
+        f = M // Dt
+        for i, j, _, r, m in rows:
+            re[(i, j)] = r * f
+            im[(i, j)] = m * f
+    s = M // (L * den)
+    for wr, wi, (Da, ta, real_a), (Db, tb, real_b) in terms:
+        f = s * (L // (Da * Db))
+        wr, wi = wr * f, wi * f
+        # for an exact product, a bound no pair reaches
+        top = order if order is not INF else max(t[2] for t in ta) + max(t[2] for t in tb)
+        if real_a and real_b and not wi:
+            for i1, j1, d1, r1, _ in ta:
+                r1 *= wr
+                room = top - d1
+                for i2, j2, d2, r2, _ in tb:
+                    if d2 > room:
+                        continue
+                    k = (i1 + i2, j1 + j2)
+                    re[k] = re.get(k, 0) + r1 * r2
+            continue
         for i1, j1, d1, r1, m1 in ta:
-            room = order - d1
+            r1, m1 = r1 * wr - m1 * wi, r1 * wi + m1 * wr
+            room = top - d1
             for i2, j2, d2, r2, m2 in tb:
                 if d2 > room:
                     continue
                 k = (i1 + i2, j1 + j2)
                 re[k] = re.get(k, 0) + (r1 * r2 - m1 * m2)
                 im[k] = im.get(k, 0) + (r1 * m2 + m1 * r2)
-    else:
-        for i1, j1, d1, r1, _ in ta:
-            room = order - d1
-            for i2, j2, d2, r2, _ in tb:
-                if d2 > room:
-                    continue
-                k = (i1 + i2, j1 + j2)
-                re[k] = re.get(k, 0) + r1 * r2
-    D = Da * Db
+    if inv is not None:
+        Dl, ((*_, lr, li),), _ = inv
+        M *= Dl
     zero = Fraction(0)
     out = {}
     for k, n in re.items():
         m = im.get(k, 0)
+        if inv is not None:
+            n, m = n * lr - m * li, n * li + m * lr
         if n or m:
-            out[k] = GaussianRational(Fraction(n, D), Fraction(m, D) if m else zero)
+            out[k] = GaussianRational(Fraction(n, M), Fraction(m, M) if m else zero)
     return out
 
 
@@ -610,42 +640,41 @@ def _homog_div(R: dict, H: dict, ctx, qdeg_max: int):
     return Q
 
 
-def _graded_solve(ctx, target, lead, solved, cross=None, euler=None, qdeg=0):
+def _graded_solve(ctx, target, lead, solved, cross, euler=None, qdeg=0):
     """Extend the forms ``solved`` (q_e of degree qdeg + e, as {z1-exponent: c})
     through the degrees of ``target`` by Brent & Kung's (J. ACM 25, 1978)
     lead * q_e = target_e + sum_{k>=1} w(k, e) * cross_k * q_{e-k}.
 
     w is the Euler weight (a*k - b*e)/e for ``euler = (a, b)`` (exp, log,
-    powers; b an int), else -1 (quotients, roots).  ``lead`` is a scalar, or a
-    form divided out exactly at each degree; ``cross`` defaults to q itself (a
-    square root, lead 2*q_0).  None when a division by the form fails.  On the
-    exact backend the sum of each degree runs on integer numerators
-    (``_exact_cross``), which also applies a scalar lead's inverse.
+    powers and roots; b an int), else -1 (quotients).  ``lead`` is a scalar,
+    or a form divided out exactly at each degree; None when that division
+    fails.  On the exact backend each degree is one ``_exact_sum`` on integer
+    numerators, which also applies 1/e and a scalar lead's inverse: every
+    cross form is brought over one denominator up front, and each solved form
+    when it is appended.
     """
     q = list(solved)
-    square = cross is None
-    cross = q if square else cross
     scale = None if isinstance(lead, dict) or lead == ctx.one else ctx.inv(lead)
     exact = ctx.name == "exact"
     if exact:
-        qt = [None] * len(target)  # integer tables of q_j and cross_k, made on first use
-        ct = qt if square else [None] * len(cross)
-        inv = _over_one_denominator({0: ctx.one if scale is None else scale})
+        ct = [_over_one_denominator(f, k) if k and f else None for k, f in enumerate(cross)]
+        qt = [_over_one_denominator(f, e) if f else None for e, f in enumerate(q)]
+        inv = None if scale is None else _over_one_denominator({0: scale}, 0)
         if euler:
-            wden, ((_, ar, ai),) = _over_one_denominator({0: euler[0]})
+            wden, ((*_, ar, ai),), _ = _over_one_denominator({0: euler[0]}, 0)
     for e in range(len(q), len(target)):
-        ks = range(1, (e // 2 if square else min(e, len(cross) - 1)) + 1)
+        ks = range(1, min(e, len(cross) - 1) + 1)
         if exact:
             terms = []
             for k in ks:
-                if not q[e - k] or not cross[k]:
+                if qt[e - k] is None or ct[k] is None:
                     continue
                 wr, wi = (ar * k - euler[1] * e * wden, ai * k) if euler else (-1, 0)
                 if wr or wi:
-                    f = 2 if square and 2 * k < e else 1
-                    terms.append((f * wr, f * wi, _int_table(ct, cross, k),
-                                  _int_table(qt, q, e - k)))
-            acc = _exact_cross(target[e], terms, wden * e if euler else 1, inv)
+                    terms.append((wr, wi, ct[k], qt[e - k]))
+            t = _over_one_denominator(target[e], e) if target[e] else None
+            acc = _exact_sum(terms, e, t, wden * e if euler else 1, inv)
+            acc = {x: c for (x, _), c in acc.items()}
         else:
             acc = dict(target[e])
             einv = ctx.from_rational(Fraction(1, e)) if euler else None
@@ -654,10 +683,8 @@ def _graded_solve(ctx, target, lead, solved, cross=None, euler=None, qdeg=0):
                 w = (euler[0] * k - euler[1] * e) * einv if euler else None
                 if not lower or not part or (euler and not w):
                     continue
-                twice = square and 2 * k < e  # q_k q_{e-k} stands for q_{e-k} q_k too
                 for x1, c1 in part.items():
                     c1 = -c1 if w is None else c1 * w
-                    c1 = c1 + c1 if twice else c1
                     for x2, c2 in lower.items():
                         key = x1 + x2
                         p = c1 * c2
@@ -671,52 +698,9 @@ def _graded_solve(ctx, target, lead, solved, cross=None, euler=None, qdeg=0):
         else:
             qe = {x: c if scale is None else c * scale for x, c in acc.items() if c}
         q.append(qe)
+        if exact and e + 1 < len(target):  # the last form is never read
+            qt.append(_over_one_denominator(qe, e) if qe else None)
     return q
-
-
-def _int_table(tables, forms, i):
-    """forms[i] over one denominator (``_over_one_denominator``), kept in
-    tables[i] after its first use."""
-    if tables[i] is None:
-        tables[i] = _over_one_denominator(forms[i])
-    return tables[i]
-
-
-def _exact_cross(target: dict, terms: list, den: int, inv) -> dict:
-    """inv * (target + S / den) as {x: GaussianRational}, zero coefficients
-    dropped, where S sums (wr + i*wi) * part * lower over ``terms``
-    [(wr, wi, part, lower)] of integer weights and ``_int_table`` tables, and
-    ``inv`` is a scalar over one denominator (``_over_one_denominator``).
-    The terms are summed on integers over the lcm of their denominators, and
-    each output coefficient is one Fraction per part."""
-    L = 1
-    for _, _, part, lower in terms:
-        L = math.lcm(L, part[0] * lower[0])
-    Dt, tt = _over_one_denominator(target)
-    M = math.lcm(Dt, L * den)
-    f = M // Dt
-    re = {x: r * f for x, r, _ in tt}
-    im = {x: m * f for x, _, m in tt}
-    s = M // (L * den)
-    for wr, wi, (Dp, tp), (Dq, tq) in terms:
-        f = s * (L // (Dp * Dq))
-        wr, wi = wr * f, wi * f
-        for x1, r1, m1 in tp:
-            r1, m1 = r1 * wr - m1 * wi, r1 * wi + m1 * wr
-            for x2, r2, m2 in tq:
-                x = x1 + x2
-                re[x] = re.get(x, 0) + (r1 * r2 - m1 * m2)
-                im[x] = im.get(x, 0) + (r1 * m2 + m1 * r2)
-    Dl, ((_, lr, li),) = inv
-    D = M * Dl
-    zero = Fraction(0)
-    out = {}
-    for x, n in re.items():
-        m = im[x]
-        n, m = n * lr - m * li, n * li + m * lr
-        if n or m:
-            out[x] = GaussianRational(Fraction(n, D), Fraction(m, D) if m else zero)
-    return out
 
 
 def _as_int(e):

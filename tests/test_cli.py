@@ -315,6 +315,17 @@ def test_exact_scalars_above_the_bit_cap_are_refused_before_they_are_formed():
     assert got[-1][0] == EXIT_OK
 
 
+def test_a_computed_coefficient_above_the_bit_cap_is_refused_when_printed():
+    # the input's scalar (6340 bits) is admitted, but the splitting's series
+    # hold its powers; no report prints a coefficient above the cap, so the
+    # job exits 2 naming it instead of failing on the int-to-text limit
+    job = {"truncation": 12, "backend": "exact",
+           "w": {"a": "1+3^4000*z1*z2", "b": "z1", "c": "1"}}
+    code, rep = invoke("split", job)
+    assert code == EXIT_INPUT and rep["status"] == "input-error"
+    assert "MAX_SCALAR_BITS" in rep["error"]["message"]
+
+
 def test_json_booleans_and_strings_are_not_integers_or_lists():
     # bool is an int subclass, and a string iterates one character at a time
     bad = [

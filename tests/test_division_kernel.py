@@ -390,6 +390,27 @@ def test_perfect_square_root_of_a_unit_is_its_sqrt(ctx):
             assert root.eq_through(want), (coefficients, N)
 
 
+def test_both_root_entry_points_agree_on_units():
+    # perfect_square_root and Series2.sqrt run the same recurrence (Miller's
+    # weights for the power 1/2): on units whose constant term is a square in
+    # Q(i), whole and truncated, they give the same coefficients and orders
+    rnd = random.Random(1800)
+    cases = 0
+    while cases < 120:
+        g = rand_scalar(EXACT, rnd)
+        v = rand_poly2(EXACT, rnd, deg=rnd.randint(1, 4), nterms=rnd.randint(1, 5))
+        v = v.scale(rand_scalar(EXACT, rnd))
+        u = v - v.constant_term + g * g
+        if not g or len(u.coeffs) < 2:
+            continue
+        for s in (u, u.truncated(rnd.randint(2, 9))):
+            for N in (rnd.randint(4, 12), None):
+                root, want = perfect_square_root(s, N), s.sqrt(N)
+                assert root is not None, (s, N)
+                assert (root.order, root.coeffs) == (want.order, want.coeffs), (s, N)
+                cases += 1
+
+
 def test_root_of_an_exact_monomial_is_exact():
     z1 = Series2.variable(EXACT, 0)
     z2 = Series2.variable(EXACT, 1)

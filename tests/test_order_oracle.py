@@ -11,9 +11,10 @@ import random
 from symdiff2 import EXACT, INF, Series2, SymTwoDiff, brioschi_numerator, reverse_map, split
 from symdiff2.cli import run
 from symdiff2.expressions import DifferentialInput, eval_text
-from symdiff2.local_forms import analyze_product_form
+from symdiff2.local_forms import analyze_product_form, leaf_chart
 
-from conftest import P_NAMES, assert_refines, rand_coordmap, rand_poly2, rand_unit2
+from conftest import (P_NAMES, assert_refines, rand_coordmap, rand_poly1, rand_poly2,
+                      rand_unit2)
 
 DELTA = 8
 
@@ -255,6 +256,33 @@ def test_pipeline_chart_factor_and_residual_refine():
         low, high = runs
         assert_refines(low.chart_factor, high.chart_factor)
         agree_through_low(low.decomposition.residual, high.decomposition.residual)
+
+
+def leaf_factors(seed, m, n):
+    """h and r = z1 * exp(p(z1) + z1^m z2 + z1^(m+1) q) known through degree
+    n, so that r presents the leaf {z1 = 0} with contact order m."""
+    ctx = EXACT
+    z1, z2, _ = gens(ctx)
+    rnd = random.Random(1000 + seed)
+    p = rand_poly1(ctx, rnd, deg=3)
+    q = rand_poly2(ctx, rnd, deg=2, nterms=3)
+    mono = Series2.monomial(ctx, m, 0)
+    r = z1 * (p - p.constant_term + mono * z2 + mono * z1 * q).exp(n)
+    return tail_series(ctx, 1100 + seed, n), r
+
+
+def test_leaf_chart_refines():
+    # the chart on its own, from truncated h and r: every part it returns
+    # agrees with the run at N + 8 through the order it claims
+    for m in range(4):
+        for seed in range(3):
+            N = 6 + seed
+            low, high = (leaf_chart(*leaf_factors(seed, m, n)) for n in (N, N + DELTA))
+            assert low.m == high.m == m
+            for name in ("s", "t", "gcorr", "fout"):
+                assert_refines(getattr(low, name), getattr(high, name))
+            assert_refines(low.chart.comp1, high.chart.comp1)
+            assert_refines(low.chart.comp2, high.chart.comp2)
 
 
 # exact h and r: every quotient of the chart used to stop at DEFAULT_ORDER = 16

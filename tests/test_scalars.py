@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from symdiff2 import APPROX, EXACT, BackendMismatch, ExactValueError, Series2
-from symdiff2.scalars import ApproxContext, GaussianRational, format_complex, format_exact
+from symdiff2.scalars import (MAX_SCALAR_BITS, ApproxContext, GaussianRational,
+                              format_complex, format_exact)
 
 
 def test_gaussian_rational_field_ops():
@@ -124,3 +125,13 @@ def test_approx_contexts_differ_by_tolerance():
             left + right
         with pytest.raises(BackendMismatch):
             left * right
+
+
+def test_format_exact_holds_every_part_to_the_bit_cap():
+    top = 2 ** MAX_SCALAR_BITS - 1  # MAX_SCALAR_BITS bits
+    for x in (GaussianRational(top), GaussianRational(Fraction(1, top), -top)):
+        assert format_exact(x)
+    for x in (GaussianRational(top + 1), GaussianRational(Fraction(1, top + 1)),
+              GaussianRational(0, -top - 1)):
+        with pytest.raises(ValueError, match="MAX_SCALAR_BITS"):
+            format_exact(x)

@@ -6,8 +6,10 @@ of terms, the Euler weight and the lead's inverse applied as scalars.  The
 approx backend still runs that loop.  On seeded random exact inputs the
 solver must reproduce its forms (values and key order) and its None verdicts,
 through every path: a scalar lead of 1 or another scalar, a leading form that
-divides or does not, the square path, Euler weights with rational and
-Gaussian ``a`` (some vanishing at some k), and cross sums that cancel to 0.
+divides or does not, Euler weights with rational and Gaussian ``a`` (some
+vanishing at some k), and cross sums that cancel to 0.  Its square loop
+(``cross`` left out: q itself, lead 2*q_0) is the oracle for the roots that
+the solver now finds by Miller's weights.
 """
 
 import random
@@ -55,12 +57,16 @@ def ref_graded_solve(ctx, target, lead, solved, cross=None, euler=None, qdeg=0):
 def assert_same_solve(*args, **kw):
     """Both solvers on the same input; returns the reference's result."""
     want = ref_graded_solve(ctx, *args, **kw)
-    got = _graded_solve(ctx, *args, **kw)
+    assert_same_forms(_graded_solve(ctx, *args, **kw), want)
+    return want
+
+
+def assert_same_forms(got, want):
+    """Equal forms, values and key order, or both None."""
     if want is None:
         assert got is None
     else:
         assert [list(f.items()) for f in got] == [list(f.items()) for f in want]
-    return want
 
 
 def rand_scalar(rnd, complex_ok, nonzero=False):
@@ -147,10 +153,16 @@ def test_form_lead_divisions(seed):
     assert verdicts == {True, False}
 
 
+# J.C.P. Miller's Euler weights (alpha + 1, 1) for the power alpha = 1/2
+MILLER = (ctx.from_rational(Fraction(3, 2)), 1)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_square_path(seed):
-    # cross = q itself: a scalar lead (differentials._homog_sqrt) and a
-    # leading form (perfect_square_root), through odd and even degrees
+    # roots by Miller's weights, lead the input's lowest form and cross the
+    # input's forms, against the reference's square loop (cross = q itself,
+    # lead 2*q_0): a scalar lead (differentials._homog_sqrt) and a leading
+    # form (perfect_square_root), through odd and even degrees
     rnd = random.Random(200 + seed)
     verdicts = set()
     for _ in range(50):
@@ -158,7 +170,9 @@ def test_square_path(seed):
         n = rnd.choice((2, 3, 6, 7, 10))
         q0 = rand_scalar(rnd, complex_ok, nonzero=True)
         target = [{0: q0 * q0}] + [rand_form(rnd, 0, complex_ok) for _ in range(1, n)]
-        assert_same_solve(target, q0 + q0, [{0: q0}])
+        want = ref_graded_solve(ctx, target, q0 + q0, [{0: q0}])
+        assert_same_forms(_graded_solve(ctx, [{}] * n, q0 * q0, [{0: q0}], target, MILLER),
+                          want)
         d = rnd.randint(0, 2)
         delta = rand_poly(rnd, d, d + 4, rnd.randint(1, 6), complex_ok)
         if delta.valuation != d:
@@ -168,7 +182,11 @@ def test_square_path(seed):
         lead = {x: c + c for x, c in root.items()}
         # a square, and one that usually is not
         for t in (s, s + rand_poly(rnd, 2 * d + 1, 2 * d + 4, 1, complex_ok)):
-            want = assert_same_solve(_forms(t, 2 * d, 2 * d + n), lead, [root], qdeg=d)
+            parts = _forms(t, 2 * d, 2 * d + n)
+            want = ref_graded_solve(ctx, parts, lead, [root], qdeg=d)
+            got = _graded_solve(ctx, [{}] * len(parts), parts[0], [root], parts, MILLER,
+                                qdeg=d)
+            assert_same_forms(got, want)
             verdicts.add(want is None)
     assert verdicts == {True, False}
 

@@ -488,7 +488,8 @@ def run(argv, stdin_text: str | None = None):
         job = Job(doc)
         report["input"] = job.echo()
         code = _RUNNERS[args.command](job, report["results"], report["warnings"])
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # a job file that cannot be read or decoded is an input error
         report["error"] = _error_body(exc)
         code = EXIT_INPUT
     except NEGATIVE_ERRORS as exc:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .differentials import OneForm, SymTwoDiff, rank
 from .errors import Inconclusive, Mismatch, NotAUnit, NotSeparable
-from .series import INF, Series2
+from .series import INF, Series2, products_sum
 
 
 def brioschi_numerator(w: SymTwoDiff) -> Series2:
@@ -58,12 +58,12 @@ def brioschi_numerator(w: SymTwoDiff) -> Series2:
     A = Fu.derive(1) - Ev.derive(1).scale(half) - Gu.derive(0).scale(half)
     B, C = Eu.scale(half), Fu - P
     D, H = Fv - Q, Gv.scale(half)
-    return (
-        A * w.disc
-        + G * (P * P - B * D)
-        + F * (B * H + C * D - (P * Q).scale(2))
-        + E * (Q * Q - C * H)
-    )
+    return products_sum([
+        (1, A, w.disc),
+        (1, G, products_sum([(1, P, P), (-1, B, D)])),
+        (1, F, products_sum([(1, B, H), (1, C, D), (-2, P, Q)])),
+        (1, E, products_sum([(1, Q, Q), (-1, C, H)])),
+    ])
 
 
 @dataclass
@@ -104,7 +104,7 @@ def first_kind_decompose(g: Series2):
     ctx = g.ctx
     f = g.slice_z2_zero()
     h = g.slice_z1_zero().scale(ctx.inv(g.constant_term))
-    residual = g - f * h
+    residual = products_sum([(-1, f, h)], g)
     if residual.is_zero():
         return f, h
     raise NotSeparable(residual)
@@ -112,7 +112,8 @@ def first_kind_decompose(g: Series2):
 
 def separability_defect(g: Series2) -> Series2:
     """g*g_12 - g_1*g_2, the obstruction to separating variables."""
-    return g * g.derive(0).derive(1) - g.derive(0) * g.derive(1)
+    g1 = g.derive(0)
+    return products_sum([(1, g, g1.derive(1)), (-1, g1, g.derive(1))])
 
 
 def compare_decompositions(d1, d2):
@@ -153,11 +154,11 @@ def verify_abelian_relation(fs, mus) -> bool:
     """Check sum(f_i mu_i) = 0 with df_i ^ mu_i = 0, coefficient-exactly."""
     f1, f2 = fs
     mu1, mu2 = mus
-    if not (f1 * mu1.A + f2 * mu2.A).is_zero():
+    if not products_sum([(1, f1, mu1.A), (1, f2, mu2.A)]).is_zero():
         return False
-    if not (f1 * mu1.B + f2 * mu2.B).is_zero():
+    if not products_sum([(1, f1, mu1.B), (1, f2, mu2.B)]).is_zero():
         return False
     for f, mu in ((f1, mu1), (f2, mu2)):
-        if not (f.derive(0) * mu.B - f.derive(1) * mu.A).is_zero():
+        if not products_sum([(1, f.derive(0), mu.B), (-1, f.derive(1), mu.A)]).is_zero():
             return False
     return True

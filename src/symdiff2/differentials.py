@@ -35,7 +35,15 @@ from .errors import (
     SingularJacobian,
     ValuationError,
 )
-from .series import INF, CoordMap, Series2, _forms, _from_forms, _graded_solve
+from .series import (
+    INF,
+    CoordMap,
+    Series2,
+    _forms,
+    _from_forms,
+    _graded_solve,
+    products_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,7 @@ class OneForm:
 
     def wedge(self, other: "OneForm") -> Series2:
         """The coefficient of dz1 ^ dz2 in self ^ other."""
-        return self.A * other.B - self.B * other.A
+        return products_sum([(1, self.A, other.B), (-1, self.B, other.A)])
 
     def is_closed(self) -> bool:
         """Mixed-partial test: d(A dz1 + B dz2) = 0."""
@@ -123,15 +131,14 @@ def product(mu: OneForm, nu: OneForm) -> SymTwoDiff:
     """The symmetric product of two 1-forms."""
     return SymTwoDiff(
         mu.A * nu.A,
-        mu.A * nu.B + mu.B * nu.A,
+        products_sum([(1, mu.A, nu.B), (1, mu.B, nu.A)]),
         mu.B * nu.B,
     )
 
 
 def discriminant(w: SymTwoDiff) -> Series2:
     """a c - b^2 / 4."""
-    quarter = w.ctx.from_rational(Fraction(1, 4))
-    return w.a * w.c - (w.b * w.b).scale(quarter)
+    return products_sum([(1, w.a, w.c), (Fraction(-1, 4), w.b, w.b)])
 
 
 def rank(w: SymTwoDiff):
@@ -422,9 +429,10 @@ def pullback(w: SymTwoDiff, phi: CoordMap) -> SymTwoDiff:
     d11, d12 = phi.comp1.derive(0), phi.comp1.derive(1)
     d21, d22 = phi.comp2.derive(0), phi.comp2.derive(1)
     return SymTwoDiff(
-        a * d11 * d11 + b * d11 * d21 + c * d21 * d21,
-        (a * d11 * d12).scale(2) + b * (d11 * d22 + d12 * d21) + (c * d21 * d22).scale(2),
-        a * d12 * d12 + b * d12 * d22 + c * d22 * d22,
+        products_sum([(1, a * d11, d11), (1, b * d11, d21), (1, c * d21, d21)]),
+        products_sum([(2, a * d11, d12), (1, b, products_sum([(1, d11, d22), (1, d12, d21)])),
+                      (2, c * d21, d22)]),
+        products_sum([(1, a * d12, d12), (1, b * d12, d22), (1, c * d22, d22)]),
     )
 
 
@@ -452,7 +460,7 @@ def jacobian_det(phi: CoordMap) -> Series2:
     """The full Jacobian determinant series of a coordinate map."""
     d11, d12 = phi.comp1.derive(0), phi.comp1.derive(1)
     d21, d22 = phi.comp2.derive(0), phi.comp2.derive(1)
-    return d11 * d22 - d12 * d21
+    return products_sum([(1, d11, d22), (-1, d12, d21)])
 
 
 # -- component classification -------------------------------------------------
@@ -492,7 +500,7 @@ def classify_component(w: SymTwoDiff, h: Series2, label: str = "h") -> Component
 
     def is_leaf(mu: OneForm) -> bool:
         # contraction with the tangent field (-dh/dz2, dh/dz1) of {h = 0}
-        contraction = mu.B * h1 - mu.A * h2
+        contraction = products_sum([(1, mu.B, h1), (-1, mu.A, h2)])
         return try_divide(contraction, h) is not None
 
     if is_leaf(mu1) and is_leaf(mu2):

@@ -43,7 +43,7 @@ from .errors import (
     NotAUnit,
 )
 from .scalars import MAX_SCALAR_BITS, GaussianRational, ScalarContext
-from .series import INF, Series2, _as_int
+from .series import INF, Series2, _as_int, products_sum
 
 # -- limits on one expression ------------------------------------------
 
@@ -731,6 +731,6 @@ class DifferentialInput:
         r1, r2 = r.derive(0), r.derive(1)
         return (
             scale * u1 * r1,
-            scale * (u1 * r2 + u2 * r1),
+            scale * products_sum([(1, u1, r2), (1, u2, r1)]),
             scale * u2 * r2,
         )

@@ -23,7 +23,11 @@ weighted products are summed on integers, and only the outputs become
 fractions again.  It forms every exact product of two tables of at least two
 terms each; a product with a one-term operand, where that conversion costs
 more than it saves, and every approx product form the scalar products pair
-by pair.
+by pair.  A sum of weighted products ``start + sum w*a*b`` (the curvature
+numerator, the discriminant, a chart form's residual, wedges) is one call of
+``products_sum``, and on the exact backend one call of the kernel: no
+intermediate product series is built, and the sum claims the order of the
+chained expression.
 
 One graded solver finds every series fixed degree by degree: at degree e it
 divides a target part plus weighted cross terms of lower degrees by a leading
@@ -235,12 +239,7 @@ class Series2:
         if not isinstance(other, Series2):
             return self.scale(other)
         self._check_compat(other)
-        if self.order is INF and other.order is INF:
-            order = INF
-        else:
-            order = _norm_order(
-                min(self.order + other.valuation, other.order + self.valuation)
-            )
+        order = _product_order(self, other)
         if self.ctx.name == "exact" and len(self.coeffs) > 1 and len(other.coeffs) > 1:
             a, b = _over_one_denominator(self.coeffs), _over_one_denominator(other.coeffs)
             return Series2(self.ctx, _exact_sum([(1, 0, a, b)], order), order, self.names)
@@ -522,6 +521,58 @@ class Series2:
 
     def __repr__(self):
         return f"Series2({self})"
+
+
+def _product_order(a: Series2, b: Series2):
+    """The guaranteed order of a * b: min(Na + val b, Nb + val a)."""
+    if a.order is INF and b.order is INF:
+        return INF
+    return _norm_order(min(a.order + b.valuation, b.order + a.valuation))
+
+
+def products_sum(terms: list, start: Series2 = None) -> Series2:
+    """start + sum of w * a * b over ``terms`` [(w, a, b)] with rational
+    weights w (start None for 0), guaranteed through the least of start's
+    order and each product's ``_product_order``: the claim of the chained
+    expression.
+
+    On the exact backend this is one ``_exact_sum``: each operand is tabled
+    once, the weights go over one denominator, and only nonzero outputs
+    become fractions, so a sum that cancels builds none.  The approx backend
+    evaluates the chained expression left to right, a negative weight as a
+    subtraction and |w| != 1 as a scaling of the product, so its bits are
+    those of the expression written out.
+    """
+    ref = start if start is not None else terms[0][1]
+    if ref.ctx.name != "exact":
+        acc = start
+        for w, a, b in terms:
+            p = a * b
+            if abs(w) != 1:
+                p = p.scale(abs(w))
+            if acc is None:
+                acc = -p if w < 0 else p
+            else:
+                acc = acc - p if w < 0 else acc + p
+        return acc
+    order = INF if start is None else start.order
+    den = 1
+    for w, a, b in terms:
+        ref._check_compat(a)
+        ref._check_compat(b)
+        order = min(order, _product_order(a, b))
+        den = math.lcm(den, Fraction(w).denominator)
+    tables = {}
+
+    def table(s):
+        if id(s) not in tables:
+            tables[id(s)] = _over_one_denominator(s.coeffs)
+        return tables[id(s)]
+
+    kernel = [(int(w * den), 0, table(a), table(b)) for w, a, b in terms
+              if a.coeffs and b.coeffs]
+    target = table(start) if start is not None and start.coeffs else None
+    return Series2(ref.ctx, _exact_sum(kernel, order, target, den), order, ref.names)
 
 
 def _over_one_denominator(coeffs: dict, deg=None):

@@ -177,6 +177,19 @@ def test_file_input(tmp_path):
     assert code == EXIT_NEGATIVE
 
 
+def test_unreadable_job_file_is_an_input_error(tmp_path):
+    binary = tmp_path / "job.bin"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path, error in ((tmp_path / "missing.json", "FileNotFoundError"),
+                        (tmp_path, "IsADirectoryError"),
+                        (binary, "UnicodeDecodeError")):
+        code, text = run(["split", "--file", str(path)])
+        assert code == EXIT_INPUT, path
+        report = json.loads(text)
+        assert report["error"]["type"] == error
+        assert report["status"] == "input-error"
+
+
 # -- error mapping -------------------------------------------------------------
 
 

@@ -50,6 +50,7 @@ INPUT_ERRORS = (
     OverflowError,
     KeyError,
     TypeError,
+    OSError,  # a job file that cannot be read; undecodable text is a ValueError
 )
 NEGATIVE_ERRORS = (
     err.NotSplit,
@@ -379,17 +380,27 @@ def _error_body(exc) -> dict:
     return {"type": type(exc).__name__, "message": str(exc)}
 
 
+def _exit_code(exc) -> int:
+    """The exit code of a caught failure: a negative verdict, precision
+    exhaustion, or else an input error."""
+    if isinstance(exc, NEGATIVE_ERRORS):
+        return EXIT_NEGATIVE
+    if isinstance(exc, PRECISION_ERRORS):
+        return EXIT_PRECISION
+    return EXIT_INPUT
+
+
 def _analyze_stage(name, runner, job, results, warnings):
-    """Run one analyze stage, mapping failures into the report."""
+    """Run one analyze stage, recording a negative verdict or precision
+    exhaustion in the report; an input error ends the whole job."""
     try:
         return runner(job, results, warnings)
-    except NEGATIVE_ERRORS as exc:
+    except NEGATIVE_ERRORS + PRECISION_ERRORS as exc:
         results[f"{name}_error"] = _error_body(exc)
-        return EXIT_NEGATIVE
-    except PRECISION_ERRORS as exc:
-        results[f"{name}_error"] = _error_body(exc)
-        warnings.append(f"{name}: {exc}")
-        return EXIT_PRECISION
+        code = _exit_code(exc)
+        if code == EXIT_PRECISION:
+            warnings.append(f"{name}: {exc}")
+        return code
 
 
 def _run_analyze(job: Job, results, warnings):
@@ -488,19 +499,9 @@ def run(argv, stdin_text: str | None = None):
         job = Job(doc)
         report["input"] = job.echo()
         code = _RUNNERS[args.command](job, report["results"], report["warnings"])
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        # a job file that cannot be read or decoded is an input error
+    except NEGATIVE_ERRORS + PRECISION_ERRORS + INPUT_ERRORS as exc:
         report["error"] = _error_body(exc)
-        code = EXIT_INPUT
-    except NEGATIVE_ERRORS as exc:
-        report["error"] = _error_body(exc)
-        code = EXIT_NEGATIVE
-    except PRECISION_ERRORS as exc:
-        report["error"] = _error_body(exc)
-        code = EXIT_PRECISION
-    except INPUT_ERRORS as exc:
-        report["error"] = _error_body(exc)
-        code = EXIT_INPUT
+        code = _exit_code(exc)
     report["status"] = _STATUS[code]
     report["exit_code"] = code
     return code, print_report(report, args.format)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .differentials import OneForm, SymTwoDiff, rank
+from .differentials import OneForm, SymTwoDiff, _lowest_terms, rank
 from .errors import Inconclusive, Mismatch, NotAUnit, NotSeparable
 from .series import INF, Series2, products_sum
 
@@ -134,11 +134,9 @@ def compare_decompositions(d1, d2):
     ctx = eta1.ctx
 
     def constant_ratio(eta: OneForm, mu: OneForm):
-        lead = mu.A if not mu.A.is_zero() else mu.B
-        key = min((i + j, i, j) for (i, j) in lead.coeffs)
-        num = (eta.A if not mu.A.is_zero() else eta.B).coefficient(key[1], key[2])
-        den = lead.coefficient(key[1], key[2])
-        c = num * ctx.inv(den)
+        _, (which, i, j) = _lowest_terms(mu)
+        num = (eta.A, eta.B)[which].coefficient(i, j)
+        c = num * ctx.inv((mu.A, mu.B)[which].coefficient(i, j))
         if not (eta.A.eq_through(mu.A.scale(c)) and eta.B.eq_through(mu.B.scale(c))):
             raise Mismatch("factor ratio is not a constant")
         return c

@@ -328,24 +328,26 @@ def _axis_content(w: SymTwoDiff):
     return g1, g2
 
 
+def _lowest_terms(mu: OneForm):
+    """Sort keys of A and B by their lowest term -- (0, (i + j, i, j)), least
+    degree first, or (1, ()) for a vanishing component, which sorts last --
+    and mu's lead (which, i, j): the lowest term of A, or of B (which = 1)
+    when A vanishes."""
+    keys = tuple(
+        (1, ()) if s.is_zero() else (0, min((i + j, i, j) for (i, j) in s.coeffs))
+        for s in (mu.A, mu.B)
+    )
+    which = keys[0][0]  # 0 when A has a term
+    return keys, (which, *keys[which][1][1:])
+
+
 def _normalize_pair(mu1: OneForm, mu2: OneForm):
     """Deterministic gauge: order foliations by their lowest monomials, then
     rescale by a constant pair so the first factor is monic in its lowest term."""
-
-    def monokey(s: Series2):
-        if s.is_zero():
-            return (1, ())  # sort after nonzero series
-        k = min((i + j, i, j) for (i, j) in s.coeffs)
-        return (0, k)
-
-    def formkey(mu: OneForm):
-        return (monokey(mu.A), monokey(mu.B))
-
-    if formkey(mu2) < formkey(mu1):
+    if _lowest_terms(mu2)[0] < _lowest_terms(mu1)[0]:
         mu1, mu2 = mu2, mu1
-    lead_series = mu1.A if not mu1.A.is_zero() else mu1.B
-    key = min((i + j, i, j) for (i, j) in lead_series.coeffs)
-    lam = lead_series.coefficient(key[1], key[2])
+    _, (which, i, j) = _lowest_terms(mu1)
+    lam = (mu1.A, mu1.B)[which].coefficient(i, j)
     ctx = mu1.ctx
     return mu1.scale(ctx.inv(lam)), mu2.scale(lam)
 

@@ -42,7 +42,7 @@ from .errors import (
     ExprSyntaxError,
     NotAUnit,
 )
-from .scalars import MAX_SCALAR_BITS, GaussianRational, ScalarContext
+from .scalars import MAX_SCALAR_BITS, GaussianRational, ScalarContext, _fmt_fraction
 from .series import INF, Series2, _as_int, products_sum
 
 # -- limits on one expression ------------------------------------------
@@ -358,18 +358,14 @@ def format_scalar_literal(lit: ScalarLit) -> str:
 
 
 def _format_exact_expr(x: GaussianRational) -> str:
-    def frac(q):
-        s = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        return s
-
     if not x.im:
-        return frac(x.re)
+        return _fmt_fraction(x.re)
     im = abs(x.im)
-    imtxt = "i" if im == 1 else f"{frac(im)}*i"
+    imtxt = "i" if im == 1 else f"{_fmt_fraction(im)}*i"
     sign = "-" if x.im < 0 else "+"
     if not x.re:
         return imtxt if sign == "+" else f"-{imtxt}"
-    return f"{frac(x.re)}{sign}{imtxt}"
+    return f"{_fmt_fraction(x.re)}{sign}{imtxt}"
 
 
 def print_expr(node) -> str:
@@ -516,17 +512,9 @@ class UnitConstant:
 # -- evaluation -------------------------------------------------------------
 
 
-def _finite(s: Series2) -> Series2:
-    """``s``, refused when a float coefficient overflowed to inf or nan."""
-    if any(isinstance(c, complex) and not cmath.isfinite(c) for c in s.coeffs.values()):
-        raise ValueError("a coefficient is not a finite number")
-    return s
-
-
 def eval_normalized(node, ctx: ScalarContext, order: int):
     """Evaluate to ``(series, unit constant)`` with the constant factored out."""
-    s, c = _evn(node, ctx, order)
-    return _finite(s), c
+    return _evn(node, ctx, order)
 
 
 def _lit_value(ctx, lit: ScalarLit):
@@ -649,7 +637,7 @@ def _evn(node, ctx, order):
 def eval_ast(node, order: int, ctx: ScalarContext) -> Series2:
     """Evaluate an AST into a Series2 through the requested order."""
     s, c = _evn(node, ctx, order)
-    return _finite(s if c.is_trivial(ctx) else s.scale(c.collapse(ctx)))
+    return s if c.is_trivial(ctx) else s.scale(c.collapse(ctx))
 
 
 def eval_text(text: str, order: int, ctx: ScalarContext) -> Series2:

@@ -336,16 +336,11 @@ def classify_leaf(d: SingularDecomposition) -> LeafClass:
         raise NonzeroResidual(
             "decomposition residual is nonzero; the input is not closed"
         )
-    ctx = d.residual.ctx
     poles = d.f.pole or d.g.pole
-    if ctx.name == "exact":
-        is_int = d.alpha.is_integer
-        n = int(d.alpha.re) if is_int else None
-    else:
-        z = complex(d.alpha)
-        is_int = abs(z.imag) <= ctx.tol and abs(z.real - round(z.real)) <= ctx.tol
-        n = round(z.real) if is_int else None
-    in_range = is_int and 0 <= n <= d.k
+    monodromy = monodromy_index(d.alpha, d.residual.ctx)
+    # alpha is an integer exactly when its multiplier c is 1
+    is_int = monodromy.order_type == "trivial"
+    in_range = is_int and 0 <= round(complex(d.alpha).real) <= d.k
     first_kind = in_range and not poles
     if poles:
         singularity = "essential"
@@ -356,7 +351,7 @@ def classify_leaf(d: SingularDecomposition) -> LeafClass:
     return LeafClass(
         first_kind=first_kind,
         singularity=singularity,
-        monodromy=monodromy_index(d.alpha, ctx),
+        monodromy=monodromy,
         in_breakdown=not first_kind,
     )
 

@@ -10,6 +10,9 @@ Two interchangeable coefficient domains drive the whole series engine:
   approximating.
 * ``approx`` -- complex doubles with a relative comparison tolerance ``tol``
   (default ``1e-9``).  ``x == y`` means ``|x - y| <= tol * max(1, |x|, |y|)``.
+  Values must stay finite: ``is_zero``, which every series coefficient
+  passes, raises ``ValueError`` on inf or nan, so a literal or a later
+  result that overflows is refused instead of carried along.
 
 A :class:`ScalarContext` bundles the domain-dependent operations so the
 series code stays backend agnostic.
@@ -311,17 +314,10 @@ class ExactContext(ScalarContext):
         p, q = e.numerator, e.denominator
         if q == 2:
             return self.sqrt(x) ** p
-        if not x.im:
-            if x.re > 0:
-                r = _fraction_root(x.re, q)
-                if r is not None:
-                    return GaussianRational(r) ** p
-            elif x.re < 0 and q % 2 == 1:
-                r = _fraction_root(-x.re, q)
-                if r is not None:
-                    # odd-order principal root of a negative real is complex;
-                    # only the q=1 case stays rational, handled above
-                    raise ExactValueError(f"{x}**{e} is not a Gaussian rational")
+        if not x.im and x.re > 0:
+            r = _fraction_root(x.re, q)
+            if r is not None:
+                return GaussianRational(r) ** p
         raise ExactValueError(f"{x}**{e} is not a Gaussian rational")
 
     def fmt(self, x) -> str:
@@ -354,12 +350,15 @@ class ApproxContext(ScalarContext):
         return complex(n)
 
     def coerce(self, x):
-        if isinstance(x, GaussianRational):
-            return complex(x)
         return complex(x)
 
     def is_zero(self, x) -> bool:
-        return abs(x) <= self.tol
+        # every approx coefficient passes here (Series2.__init__), so an
+        # overflow to inf or nan is refused wherever it arises
+        a = abs(x)
+        if a < math.inf:
+            return a <= self.tol
+        raise ValueError("a coefficient is not a finite number")
 
     def eq(self, x, y) -> bool:
         return abs(x - y) <= self.tol * max(1.0, abs(x), abs(y))

@@ -264,9 +264,7 @@ class Series2:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("use pow_scalar for non-integer exponents")
-        if n < 0:
-            return self.invert_unit()._int_pow(-n, None)
-        return self._int_pow(n, None)
+        return self.pow_scalar(n)
 
     def _int_pow(self, n: int, order):
         """The natural power ``self**n``, exact when ``order`` is None, else
@@ -829,7 +827,7 @@ def reverse_map(phi: CoordMap, order=None) -> CoordMap:
         comps = [c for c in (phi.comp1, phi.comp2) if c.order is not INF]
         order = min(c._resolve_order(None) for c in comps or (phi.comp1, phi.comp2))
     a11, a12, a21, a22 = phi.jacobian_origin()
-    det = a11 * a22 - a12 * a21
+    det = phi.det_origin()
     if ctx.is_zero(det):
         raise SingularJacobian("coordinate map has vanishing Jacobian at the origin")
     dinv = ctx.inv(det)
@@ -839,15 +837,9 @@ def reverse_map(phi: CoordMap, order=None) -> CoordMap:
     def lin_inv(s1, s2):
         return (s1.scale(b11) + s2.scale(b12), s1.scale(b21) + s2.scale(b22))
 
-    def high_part(s):
-        return Series2(
-            ctx,
-            {k: c for k, c in s.coeffs.items() if k[0] + k[1] >= 2},
-            s.order,
-            names,
-        )
-
-    h1, h2 = high_part(phi.comp1), high_part(phi.comp2)
+    # the parts of degree 2 and more: each component minus its linear part
+    h1 = phi.comp1 - Series2(ctx, {(1, 0): a11, (0, 1): a12}, INF, names)
+    h2 = phi.comp2 - Series2(ctx, {(1, 0): a21, (0, 1): a22}, INF, names)
     v1 = Series2.variable(ctx, 0, order, names)
     v2 = Series2.variable(ctx, 1, order, names)
     psi1, psi2 = lin_inv(v1, v2)

@@ -301,6 +301,22 @@ def test_exact_powers_above_the_term_cap_are_refused_before_they_are_formed():
             assert "MAX_POWER_TERMS" in json.loads(out.stdout)["error"]["message"], a
 
 
+
+def test_an_approx_discriminant_that_overflows_is_refused_at_once():
+    # b^2/4 overflows to inf and a*c - b^2/4 to nan; nan is never within the
+    # tolerance of zero, so the splitting's homogeneous division never removed
+    # its leading term and the job ran without end
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    job = {"truncation": 8, "backend": "approx",
+           "w": {"a": "1", "b": "1e200*(1+z2)", "c": "1"}}
+    out = subprocess.run(
+        [sys.executable, "-m", "symdiff2.cli", "split"], input=json.dumps(job),
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert out.returncode == EXIT_INPUT
+    assert json.loads(out.stdout)["error"]["message"] == "a coefficient is not a finite number"
+
+
 SCALAR_CAP_CHILD = """
 import json, sys
 from symdiff2.cli import run

@@ -28,6 +28,7 @@ from symdiff2.local_forms import (
     classify_leaf,
     compose_singular_decomposition,
     MAX_MONODROMY_DENOMINATOR,
+    SingularDecomposition,
     leaf_chart,
     monodromy_index,
     order_of_contact,
@@ -433,6 +434,46 @@ def test_classify_leaf_pure_monodromy(exact_ctx):
     assert leaf.singularity == "none"
     assert leaf.monodromy.order_type == "finite" and leaf.monodromy.order == 2
     assert leaf.in_breakdown
+
+
+
+def _integer_rule(alpha, k, tol, poles):
+    """The reference verdict (first_kind, singularity) by the direct test:
+    alpha is an integer when both its parts are within tol of one."""
+    z = complex(alpha)
+    is_int = abs(z.imag) <= tol and abs(z.real - round(z.real)) <= tol
+    in_range = is_int and 0 <= round(z.real) <= k
+    if poles:
+        singularity = "essential"
+    elif is_int and not in_range:
+        singularity = "meromorphic"
+    else:
+        singularity = "none"
+    return in_range and not poles, singularity
+
+
+def test_classify_leaf_approx_integrality_is_the_trivial_monodromy(approx_ctx):
+    # integrality is read from the monodromy (c = 1); near an integer n it
+    # agrees with the direct test within tol, in range [0, k] and out of it
+    ctx = approx_ctx
+    zero = Series2.zero(ctx, 10)
+    pole = axis_series(ctx, {-1: 1}, order=10)
+    g = Series2.zero(ctx, 10, P_NAMES)
+    seen = set()
+    for n in (-1, 0, 1, 2, 3):
+        alphas = [n + 5e-10, n - 5e-10, n + 2e-9, n - 2e-9, n + 5e-10j, n + Fraction(1, 3)]
+        for alpha in alphas:
+            for k in (0, 2):
+                for f in (zero, pole):
+                    dec = SingularDecomposition(k=k, alpha=complex(alpha), f=f, g=g,
+                                                residual=zero, m=1)
+                    leaf = classify_leaf(dec)
+                    want = _integer_rule(alpha, k, ctx.tol, bool(f.pole))
+                    assert (leaf.first_kind, leaf.singularity) == want, (alpha, k)
+                    assert leaf.in_breakdown is not leaf.first_kind
+                    seen.add(want)
+    assert seen == {(True, "none"), (False, "none"), (False, "meromorphic"),
+                    (False, "essential")}
 
 
 def test_products_of_holomorphic_closed_factors_are_first_kind(exact_ctx):

@@ -197,15 +197,20 @@ class Job:
     def base_shift(self):
         if self.base_shift_text in (None, 0, "0"):
             return 0
-        return self._scalar(str(self.base_shift_text))
+        return self._scalar("base_shift", str(self.base_shift_text))
 
     def alpha(self):
         if self.alpha_text is None:
             return None
-        return self._scalar(str(self.alpha_text))
+        return self._scalar("alpha", str(self.alpha_text))
 
-    def _scalar(self, text):
-        return _lit_value(self.ctx, fold_scalar(_read(parse, text)))
+    def _scalar(self, key, text):
+        try:
+            return _lit_value(self.ctx, fold_scalar(_read(parse, text)))
+        except err.ExponentNotScalar:
+            raise err.ExponentNotScalar(
+                f"{key} must fold to a finite number, not {text!r}"
+            ) from None
 
     @cached_property
     def differential(self) -> DifferentialInput:

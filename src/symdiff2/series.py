@@ -47,8 +47,10 @@ An integer power is repeated squaring of the base, or of its inverse when the
 exponent is negative; it is exact only when no order is asked for, and
 otherwise truncated at that order.
 
-Composition ``s(inner1, inner2)`` needs inner series that fix the origin and
-is one Horner evaluation over power series, guaranteed through
+Composition ``s(inner1, inner2)`` needs inner power series that fix the
+origin and is one Horner pass in inner1: each z1-row of ``s`` is summed in one
+pass from the powers of inner2, cached once, so every map (the identity, a
+shear, a dense chart) takes the same path.  It is guaranteed through
 ``min(order, s.order)`` where the inner series' orders allow.  A Laurent ``s``
 with pole P needs ``inner1 = z1 * (unit)`` and is composed as the power series
 ``z1^P * s``; dividing back by z1^P leaves ``min(order - P, s.order)``.
@@ -439,16 +441,17 @@ class Series2:
     # -- composition ----------------------------------------------------
 
     def substitute(self, inner1: "Series2", inner2: "Series2", order=None) -> "Series2":
-        """Formal composition s(inner1, inner2); both inner series must fix
-        the origin.
+        """Formal composition s(inner1, inner2); both inner series must be
+        power series that fix the origin.
 
-        A power series is Horner's rule in inner1 over rows that are Horner
-        sums in inner2 (Brent & Kung, J. ACM 25, 1978), guaranteed through
-        ``min(order, self.order)`` as far as the inner series' orders allow.
-        A Laurent series with pole P needs ``inner1 = z1 * u`` with u a unit:
-        ``z1^P * self`` is composed, divided by ``u^P`` and by ``z1^P``, so
-        the result is guaranteed through
-        ``min(order - P, self.order)``.
+        A power series is one Horner pass in inner1 over its z1-rows (Brent &
+        Kung, J. ACM 25, 1978): row i, the sum of c_ij * inner2^j, is read off
+        powers of inner2 cached once, and claims the least order of the powers
+        it reads.  The result is guaranteed through ``min(order, self.order)``
+        as far as the inner series' orders allow.  A Laurent series with pole
+        P needs ``inner1 = z1 * u`` with u a unit: ``z1^P * self`` is
+        composed, divided by ``u^P`` and by ``z1^P``, so the result is
+        guaranteed through ``min(order - P, self.order)``.
         """
         inner1._check_compat(inner2)
         ctx = self.ctx
@@ -456,6 +459,8 @@ class Series2:
             raise BackendMismatch("backend mismatch in substitution")
         if not (ctx.is_zero(inner1.constant_term) and ctx.is_zero(inner2.constant_term)):
             raise ValuationError("inner series must fix the origin")
+        if inner1.pole or inner2.pole:
+            raise ValuationError("inner series must be power series, without a pole")
         P = self.pole
         if P:
             u = inner1.div_monomial(1, 0)
@@ -468,33 +473,20 @@ class Series2:
             return q.div_monomial(P, 0)
         top = min(INF if order is None else order, self.order)
         names = inner1.names
-        powers2 = [Series2.const(ctx, ctx.one, top, names)]
-
-        def pow2(n):
-            while len(powers2) <= n:
-                powers2.append((powers2[-1] * inner2).truncated(top))
-            return powers2[n]
-
-        def eval_row(jmap):
-            js = sorted(jmap, reverse=True)
-            acc = Series2.const(ctx, jmap[js[0]], top, names)
-            for hi, lo in zip(js, js[1:]):
-                acc = (acc * pow2(hi - lo)).truncated(top) + jmap[lo]
-            return (acc * pow2(js[-1])).truncated(top) if js[-1] else acc
-
         rows = {}
         for (i, j), c in self.coeffs.items():
             rows.setdefault(i, {})[j] = c
-        if not rows:
-            return Series2.zero(ctx, top, names)
-        exps = sorted(rows, reverse=True)
-        acc = eval_row(rows[exps[0]])
-        for hi, lo in zip(exps, exps[1:]):
-            for _ in range(hi - lo):
-                acc = (acc * inner1).truncated(top)
-            acc = acc + eval_row(rows[lo])
-        for _ in range(exps[-1]):
-            acc = (acc * inner1).truncated(top)
+        powers = [Series2.const(ctx, ctx.one, top, names)]
+        for _ in range(max((j for _, j in self.coeffs), default=0)):
+            powers.append((powers[-1] * inner2).truncated(top))
+        acc = Series2.zero(ctx, top, names)
+        for i in range(max(rows, default=0), -1, -1):
+            row, claim = {}, top
+            for j, c in rows.get(i, {}).items():
+                claim = min(claim, powers[j].order)
+                for k, p in powers[j].coeffs.items():
+                    row[k] = row[k] + c * p if k in row else c * p
+            acc = (acc * inner1).truncated(top) + Series2(ctx, row, claim, names)
         return acc
 
     # -- display --------------------------------------------------------

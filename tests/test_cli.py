@@ -258,6 +258,13 @@ def test_exit_codes_for_input_errors():
         code, rep = invoke("monodromy", {**ESSENTIAL, "backend": backend, "alpha": alpha})
         assert code == EXIT_INPUT, alpha
         assert "error" in rep, alpha
+    # a scalar parameter that does not fold is named by its key, not as an exponent
+    for command, key, text in (("monodromy", "alpha", "z1"), ("monodromy", "alpha", "2^(1/2)"),
+                               ("theorem26", "base_shift", "z1")):
+        code, rep = invoke(command, {**ESSENTIAL, key: text})
+        assert code == EXIT_INPUT, text
+        message = rep["error"]["message"]
+        assert message.startswith(key + " ") and "exponent" not in message, message
 
 
 def test_decimal_scalars_are_refused_on_the_exact_backend():

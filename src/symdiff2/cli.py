@@ -235,6 +235,11 @@ class Job:
                 raise JobError(f"component {text!r} vanishes identically")
             if not self.ctx.is_zero(h.constant_term):
                 raise JobError(f"component {text!r} must vanish at the origin")
+            for label, g in out:
+                k = next(iter(g.coeffs))
+                if k in h.coeffs and h.eq_through(g.scale(h.coeffs[k] / g.coeffs[k])):
+                    raise JobError(f"component {text!r} is a constant multiple of "
+                                   f"component {label!r}")
             out.append((str(text), h))
         return out
 

@@ -597,10 +597,9 @@ def _evn(node, ctx, order):
             for base, x in c.pows:
                 _check_scalar_power([base], x * e)
         n = _as_int(e)
+        if n is not None and n < 0:  # solved through the job's order, as a division is
+            return s.pow_scalar(n, order), c.pow(ctx, n)
         if n is not None:
-            if n < 0:  # solved through the job's order, as a division is
-                one_s = Series2.const(ctx, ctx.one, INF, names)
-                return one_s.divide(s._int_pow(-n, order), order), c.pow(ctx, n)
             if s.order is INF:
                 _check_power_size(s, n)
             return s._int_pow(n, order if s.order is not INF else None), c.pow(ctx, n)

@@ -385,6 +385,8 @@ def analyze_product_form(
     recenters z2 when the base point at the origin is degenerate.
     """
     ctx = u.ctx
+    if h.order is INF and h.is_zero():  # no truncation brings a term back
+        raise ValueError("zero differential: the scale factor vanishes identically")
     if not ctx.is_zero(u.constant_term):
         raise NotALeafPresentation(
             "the base point does not lie on the leaf {u = 0}; "

@@ -16,17 +16,18 @@ raises instead of silently truncating.  An omitted order (None or INF) has one
 rule, ``Series2._resolve_order``: a truncated series' own order, or an exact
 series' degree but never below ``DEFAULT_ORDER`` (16).
 
-One integer kernel, ``_exact_sum``, serves every exact convolution: each
-table is brought to integer (re, im) numerators over the lcm of its
-denominators, as FLINT's ``fmpq_poly`` stores a polynomial (Hart, ICMS 2010),
-weighted products are summed on integers, and only the outputs become
-fractions again.  It forms every exact product of two tables of at least two
-terms each; a product with a one-term operand, where that conversion costs
-more than it saves, and every approx product form the scalar products pair
-by pair.  A sum of weighted products ``start + sum w*a*b`` (the curvature
-numerator, the discriminant, a chart form's residual, wedges) is one call of
-``products_sum``, and on the exact backend one call of the kernel: no
-intermediate product series is built, and the sum claims the order of the
+One kernel, ``_sum``, serves every convolution on both backends: each table
+is brought to integer (re, im) numerators over the lcm of its denominators,
+as FLINT's ``fmpq_poly`` stores a polynomial (Hart, ICMS 2010), or on the
+approx backend to its complex values over 1; weighted products are summed in
+one pass, and only the outputs become fractions again, or complex quotients.
+``_table`` and ``_sum`` are the only places that tell the backends apart.
+The kernel forms every product of two tables of at least two terms each; a
+product with a one-term operand, where the tabling costs more than it saves,
+forms the scalar products pair by pair.  A sum of weighted products ``start +
+sum w*a*b`` (the curvature numerator, the discriminant, a chart form's
+residual, wedges) is one call of ``products_sum`` and one call of the kernel:
+no intermediate product series is built, and the sum claims the order of the
 chained expression.
 
 One graded solver finds every series fixed degree by degree: at degree e it
@@ -39,12 +40,12 @@ about one truncated product, and with a leading form the roots of
 ``divide``, every quotient by z1^k times a unit (``invert_unit`` is 1/u), and
 by a leading form in the local-ring quotients of ``differentials``.  Degree d
 reads only input parts of degree <= d, so a result is guaranteed through
-exactly the order of its input.  On the exact backend each degree is one call
-of the integer kernel, which also applies the Euler weight's 1/e and a scalar
-lead's inverse once per output coefficient.
+exactly the order of its input.  Each degree is one call of the kernel, which
+also applies the Euler weight's 1/e and a scalar lead's inverse once per
+output coefficient.
 
-An integer power is repeated squaring of the base, or of its inverse when the
-exponent is negative; it is exact only when no order is asked for, and
+An integer power is repeated squaring of the base, and a negative one the
+quotient 1 / base^-n; a power is exact only when no order is asked for, and
 otherwise truncated at that order.
 
 Composition ``s(inner1, inner2)`` needs inner power series that fix the
@@ -242,9 +243,10 @@ class Series2:
             return self.scale(other)
         self._check_compat(other)
         order = _product_order(self, other)
-        if self.ctx.name == "exact" and len(self.coeffs) > 1 and len(other.coeffs) > 1:
-            a, b = _over_one_denominator(self.coeffs), _over_one_denominator(other.coeffs)
-            return Series2(self.ctx, _exact_sum([(1, 0, a, b)], order), order, self.names)
+        if len(self.coeffs) > 1 and len(other.coeffs) > 1:
+            ctx = self.ctx
+            a, b = _table(ctx, self.coeffs), _table(ctx, other.coeffs)
+            return Series2(ctx, _sum(ctx, [(1, 0, a, b)], order), order, self.names)
         out = {}
         finite = order is not INF
         bitems = list(other.coeffs.items())
@@ -408,12 +410,15 @@ class Series2:
         return u._graded(order, self.ctx.one, 1, log=True) + lead
 
     def pow_scalar(self, e, order=None) -> "Series2":
-        """Raise to a scalar power; integer exponents reduce to products, of
-        the inverse for a negative one."""
+        """Raise to a scalar power; an integer power is a product, and a
+        negative one the quotient 1 / self**-n, so self may be z1^k times a
+        unit."""
         n = _as_int(e)
+        if n is not None and n >= 0:
+            return self._int_pow(n, order)
         if n is not None:
-            base = self if n >= 0 else self.invert_unit(order)
-            return base._int_pow(abs(n), order)
+            one = Series2.const(self.ctx, self.ctx.one, INF, self.names)
+            return one.divide(self._int_pow(-n, order), order)
         if not self.is_unit:
             raise NotAUnit("fractional powers require a unit base")
         c = self.constant_term
@@ -526,25 +531,12 @@ def products_sum(terms: list, start: Series2 = None) -> Series2:
     order and each product's ``_product_order``: the claim of the chained
     expression.
 
-    On the exact backend this is one ``_exact_sum``: each operand is tabled
-    once, the weights go over one denominator, and only nonzero outputs
-    become fractions, so a sum that cancels builds none.  The approx backend
-    evaluates the chained expression left to right, a negative weight as a
-    subtraction and |w| != 1 as a scaling of the product, so its bits are
-    those of the expression written out.
+    This is one ``_sum`` on either backend: each operand is tabled once, the
+    weights go over one denominator, and no intermediate product series is
+    built, so a sum that cancels builds none.
     """
     ref = start if start is not None else terms[0][1]
-    if ref.ctx.name != "exact":
-        acc = start
-        for w, a, b in terms:
-            p = a * b
-            if abs(w) != 1:
-                p = p.scale(abs(w))
-            if acc is None:
-                acc = -p if w < 0 else p
-            else:
-                acc = acc - p if w < 0 else acc + p
-        return acc
+    ctx = ref.ctx
     order = INF if start is None else start.order
     den = 1
     for w, a, b in terms:
@@ -556,20 +548,25 @@ def products_sum(terms: list, start: Series2 = None) -> Series2:
 
     def table(s):
         if id(s) not in tables:
-            tables[id(s)] = _over_one_denominator(s.coeffs)
+            tables[id(s)] = _table(ctx, s.coeffs)
         return tables[id(s)]
 
     kernel = [(int(w * den), 0, table(a), table(b)) for w, a, b in terms
               if a.coeffs and b.coeffs]
     target = table(start) if start is not None and start.coeffs else None
-    return Series2(ref.ctx, _exact_sum(kernel, order, target, den), order, ref.names)
+    return Series2(ctx, _sum(ctx, kernel, order, target, den), order, ref.names)
 
 
-def _over_one_denominator(coeffs: dict, deg=None):
-    """(D, rows, real) for an exact table {(i, j): c}, or for a form {x: c} of
-    degree ``deg`` keyed (x, deg - x): D is the lcm of every real and imaginary
-    denominator, rows are [(i, j, i + j, re*D, im*D)] of integers, and real
-    says that every im*D is 0."""
+def _table(ctx, coeffs: dict, deg=None):
+    """(D, rows, real) for a table {(i, j): c}, or for a form {x: c} of degree
+    ``deg`` keyed (x, deg - x), with rows [(i, j, i + j, x, y)].  On the exact
+    backend D is the lcm of every real and imaginary denominator, x and y are
+    the integers re*D and im*D, and real says that every y is 0; on the
+    approx backend D = 1, x is the complex coefficient and y = 0."""
+    if ctx.name != "exact":
+        if deg is None:
+            return 1, [(i, j, i + j, c, 0) for (i, j), c in coeffs.items()], True
+        return 1, [(x, deg - x, deg, c, 0) for x, c in coeffs.items()], True
     D = 1
     for c in coeffs.values():
         D = math.lcm(D, c.re.denominator, c.im.denominator)
@@ -581,15 +578,16 @@ def _over_one_denominator(coeffs: dict, deg=None):
     return D, rows, not any(t[4] for t in rows)
 
 
-def _exact_sum(terms: list, order, target=None, den: int = 1, inv=None) -> dict:
-    """inv * (target + S / den) as {(i, j): GaussianRational} through
-    ``order``, zero coefficients dropped.  S sums (wr + i*wi) * a * b over
-    ``terms`` [(wr, wi, a, b)] of integer weights and ``_over_one_denominator``
-    tables, skipping pairs beyond ``order``; ``target`` is such a table or
-    None, and ``inv`` the one-row table of a scalar or None for 1.  The sum
-    runs on integers over the lcm of the denominators, as FLINT's fmpq_poly
-    keeps a polynomial, with one loop for real tables and weights, and each
-    output part is one Fraction.  Keys come in the order first seen: the
+def _sum(ctx, terms: list, order, target=None, den: int = 1, inv=None) -> dict:
+    """inv * (target + S / den) as {(i, j): c} through ``order``, zero
+    coefficients dropped.  S sums (wr + i*wi) * a * b over ``terms``
+    [(wr, wi, a, b)] of integer weights and ``_table`` tables, skipping pairs
+    beyond ``order``; ``target`` is such a table or None, and ``inv`` the
+    one-row table of a scalar or None for 1.  The sum runs over the lcm M of
+    the denominators, as FLINT's fmpq_poly keeps a polynomial, with one loop
+    for real tables and weights (every approx table), and each output is
+    (x + i*y) / M: one Fraction per part on the exact backend, one complex
+    quotient on the approx backend.  Keys come in the order first seen: the
     target's, then each term's pairs."""
     L = 1
     for _, _, a, b in terms:
@@ -631,6 +629,10 @@ def _exact_sum(terms: list, order, target=None, den: int = 1, inv=None) -> dict:
     if inv is not None:
         Dl, ((*_, lr, li),), _ = inv
         M *= Dl
+    if ctx.name != "exact":
+        if inv is not None:
+            M /= lr
+        return {k: x / M for k, x in re.items() if x}
     zero = Fraction(0)
     out = {}
     for k, n in re.items():
@@ -689,58 +691,35 @@ def _graded_solve(ctx, target, lead, solved, cross, euler=None, qdeg=0):
     w is the Euler weight (a*k - b*e)/e for ``euler = (a, b)`` (exp, log,
     powers and roots; b an int), else -1 (quotients).  ``lead`` is a scalar,
     or a form divided out exactly at each degree; None when that division
-    fails.  On the exact backend each degree is one ``_exact_sum`` on integer
-    numerators, which also applies 1/e and a scalar lead's inverse: every
-    cross form is brought over one denominator up front, and each solved form
+    fails.  Each degree is one ``_sum``, which also applies 1/e and a scalar
+    lead's inverse: every cross form is tabled up front, and each solved form
     when it is appended.
     """
     q = list(solved)
     scale = None if isinstance(lead, dict) or lead == ctx.one else ctx.inv(lead)
-    exact = ctx.name == "exact"
-    if exact:
-        ct = [_over_one_denominator(f, k) if k and f else None for k, f in enumerate(cross)]
-        qt = [_over_one_denominator(f, e) if f else None for e, f in enumerate(q)]
-        inv = None if scale is None else _over_one_denominator({0: scale}, 0)
-        if euler:
-            wden, ((*_, ar, ai),), _ = _over_one_denominator({0: euler[0]}, 0)
+    ct = [_table(ctx, f, k) if k and f else None for k, f in enumerate(cross)]
+    qt = [_table(ctx, f, e) if f else None for e, f in enumerate(q)]
+    inv = None if scale is None else _table(ctx, {0: scale}, 0)
+    if euler:
+        wden, ((*_, ar, ai),), _ = _table(ctx, {0: euler[0]}, 0)
     for e in range(len(q), len(target)):
-        ks = range(1, min(e, len(cross) - 1) + 1)
-        if exact:
-            terms = []
-            for k in ks:
-                if qt[e - k] is None or ct[k] is None:
-                    continue
-                wr, wi = (ar * k - euler[1] * e * wden, ai * k) if euler else (-1, 0)
-                if wr or wi:
-                    terms.append((wr, wi, ct[k], qt[e - k]))
-            t = _over_one_denominator(target[e], e) if target[e] else None
-            acc = _exact_sum(terms, e, t, wden * e if euler else 1, inv)
-            acc = {x: c for (x, _), c in acc.items()}
-        else:
-            acc = dict(target[e])
-            einv = ctx.from_rational(Fraction(1, e)) if euler else None
-            for k in ks:
-                lower, part = q[e - k], cross[k]
-                w = (euler[0] * k - euler[1] * e) * einv if euler else None
-                if not lower or not part or (euler and not w):
-                    continue
-                for x1, c1 in part.items():
-                    c1 = -c1 if w is None else c1 * w
-                    for x2, c2 in lower.items():
-                        key = x1 + x2
-                        p = c1 * c2
-                        acc[key] = acc[key] + p if key in acc else p
+        terms = []
+        for k in range(1, min(e, len(cross) - 1) + 1):
+            if qt[e - k] is None or ct[k] is None:
+                continue
+            wr, wi = (ar * k - euler[1] * e * wden, ai * k) if euler else (-1, 0)
+            if wr or wi:
+                terms.append((wr, wi, ct[k], qt[e - k]))
+        t = _table(ctx, target[e], e) if target[e] else None
+        acc = _sum(ctx, terms, e, t, wden * e if euler else 1, inv)
+        qe = {x: c for (x, _), c in acc.items()}
         if isinstance(lead, dict):
-            qe = _homog_div(acc, lead, ctx, qdeg + e)
+            qe = _homog_div(qe, lead, ctx, qdeg + e)
             if qe is None:
                 return None
-        elif exact:
-            qe = acc
-        else:
-            qe = {x: c if scale is None else c * scale for x, c in acc.items() if c}
         q.append(qe)
-        if exact and e + 1 < len(target):  # the last form is never read
-            qt.append(_over_one_denominator(qe, e) if qe else None)
+        if e + 1 < len(target):  # the last form is never read
+            qt.append(_table(ctx, qe, e) if qe else None)
     return q
 
 

@@ -71,6 +71,36 @@ def assert_refines(low, high):
     assert low.eq_through(high)
 
 
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def rounding_bound(mag: float, n: int) -> float:
+    """4 * (n + 3) unit roundoffs of ``mag``: the error of a sum of n or fewer
+    products whose absolute values sum to ``mag``, with slack for complex
+    products, for rounding the rational inputs and for the final quotient."""
+    return 4 * (n + 3) * UNIT_ROUNDOFF * mag
+
+
+def absolute(s: Series2) -> Series2:
+    """The approx series of the absolute values of s's coefficients."""
+    return Series2(APPROX, {k: abs(complex(c)) for k, c in s.coeffs.items()}, s.order, s.names)
+
+
+def assert_within_rounding(got: Series2, want: Series2, mag: Series2, n: int):
+    """The approx ``got`` is the exact ``want`` computed in floats: the same
+    order, the keys of every exact value above the tolerance, and each
+    coefficient within ``rounding_bound`` of its majorant ``mag`` (the sum of
+    the absolute values of its n or fewer summands)."""
+    assert got.ctx.name == "approx" and want.ctx.name == "exact"
+    assert got.order == want.order
+    assert got.names == want.names
+    tol = got.ctx.tol
+    assert set(got.coeffs) == {k for k, c in want.coeffs.items() if abs(complex(c)) > tol}
+    for k, c in got.coeffs.items():
+        err = abs(c - complex(want.coefficient(*k)))
+        assert err <= rounding_bound(abs(mag.coefficient(*k)), n), (k, c, want.coefficient(*k))
+
+
 def rand_poly1(ctx, rnd: random.Random, deg: int = 4, nterms: int = 3, axis: int = 0):
     terms = {rnd.randint(0, deg): ctx.from_rational(rand_fraction(rnd)) for _ in range(nterms)}
     return axis_series(ctx, terms, axis)

@@ -220,6 +220,12 @@ def test_exit_codes_for_input_errors():
         ({"truncation": 8, "backend": "exact",
           "w": {"a": "1", "b": "z1*z2", "c": "0"}, "components": ["z1-z1"]},
          "component that cancels to zero"),
+        ({"truncation": 8, "backend": "exact",
+          "w": {"a": "z1", "b": "0", "c": "z1*(1+z2)"}, "components": ["z1", "z1"]},
+         "component listed twice"),
+        ({"truncation": 8, "backend": "exact",
+          "w": {"a": "z1", "b": "0", "c": "z1*(1+z2)"}, "components": ["z1", "2*z1"]},
+         "component that is a constant multiple of an earlier one"),
         ({"truncation": 8, "backend": "exact", "w": {"a": "z1^(1/0)", "b": "0", "c": "0"}},
          "division by zero in an exponent"),
         ({"truncation": 8, "backend": "exact",
@@ -254,6 +260,15 @@ def test_exit_codes_for_input_errors():
         code, rep = invoke("analyze", job)
         assert code == EXIT_INPUT, label
         assert "error" in rep, label
+    # the repeated component is refused before the discriminant is divided
+    for comps in (["z1", "z1"], ["z1", "2*z1"]):
+        code, rep = invoke("classify", {"truncation": 8, "backend": "exact",
+                                        "w": {"a": "z1", "b": "0", "c": "z1*(1+z2)"},
+                                        "components": comps})
+        assert code == EXIT_INPUT, comps
+        assert rep["error"]["type"] == "JobError", comps
+        assert rep["error"]["message"] == (f"component {comps[1]!r} is a constant "
+                                           "multiple of component 'z1'"), comps
     for backend, alpha in (("exact", "1/0"), ("approx", "1e400")):
         code, rep = invoke("monodromy", {**ESSENTIAL, "backend": backend, "alpha": alpha})
         assert code == EXIT_INPUT, alpha
@@ -406,6 +421,17 @@ def test_remaining_error_conditions_reach_the_cli():
             cases.append((cmd, {"truncation": 10, "backend": "exact",
                                 "w": {"scale": "1", "u": "z1", "r": r}},
                           "NotALeafPresentation", EXIT_INPUT))
+    # a scale that is exactly zero is an input error at every truncation; a
+    # zero only through the truncation asks for more precision
+    for scale in ("0", "z1-z1"):
+        for cmd in ("theorem26", "normal-form"):
+            cases.append((cmd, {"truncation": 24, "backend": "exact",
+                                "w": {"scale": scale, "u": "z1", "r": "z1*(1+z1*z2)"}},
+                          "ValueError", EXIT_INPUT))
+    cases.append(("theorem26", {"truncation": 10, "backend": "exact",
+                                "w": {"scale": "exp(z1)-exp(z1)", "u": "z1",
+                                      "r": "z1*(1+z1*z2)"}},
+                  "ZeroSeries", EXIT_PRECISION))
     for cmd, job, expect, want_code in cases:
         code, rep = invoke(cmd, job)
         assert code == want_code, (cmd, expect)

@@ -1,13 +1,15 @@
-"""Oracle for the integer kernel behind exact series products.
+"""Oracle for the kernel behind series products.
 
 ``ref_mul`` below is the pair loop that every product ran before the kernel:
-one Gaussian-rational product and sum per pair of terms, pairs beyond the
-truncation skipped.  The approx backend and products with a one-term operand
-still run it.  On seeded random exact tables the kernel must reproduce its
-coefficients, its key set (a coefficient that cancels to zero is absent) and
-its guaranteed order.  Subtraction is one pass over both tables and must
-equal ``a + (-b)``: exactly on the exact backend, bit for bit on the approx
-backend.
+one scalar product and sum per pair of terms, pairs beyond the truncation
+skipped.  Products with a one-term operand still run it.  On seeded random
+exact tables the kernel must reproduce its coefficients, its key set (a
+coefficient that cancels to zero is absent) and its guaranteed order.  On the
+same tables rounded to floats, the kernel and the pair loop must both give
+the exact product to within a rounding bound scaled to the absolute values of
+each coefficient's summands.  Subtraction is one pass over both tables and
+must equal ``a + (-b)``: exactly on the exact backend, bit for bit on the
+approx backend.
 """
 
 import random
@@ -17,6 +19,7 @@ import pytest
 
 from symdiff2 import APPROX, EXACT, INF, Series2
 from symdiff2.series import _norm_order
+from conftest import absolute, assert_within_rounding
 
 
 def ref_mul(a, b):
@@ -113,6 +116,23 @@ def test_kernel_boundary_operands():
                            laurent=True, truncated=rnd.random() < 0.5)
             assert_same_product(a, b)
             assert_same_product(b, a)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_approx_products_are_the_exact_product_within_rounding(seed):
+    # two-term operands and more take the kernel, a one-term operand the pair
+    # loop; ref_mul runs the pair loop on every shape
+    rnd = random.Random(50 + seed)
+    for _ in range(40):
+        shape = dict(complex_ok=rnd.random() < 0.5, integer=False, laurent=rnd.random() < 0.3)
+        a = rand_table(rnd, rnd.randint(1, 30), **shape, truncated=rnd.random() < 0.5)
+        b = rand_table(rnd, rnd.randint(1, 30), **shape, truncated=rnd.random() < 0.5)
+        want = Series2(EXACT, *ref_mul(a, b))
+        mag = Series2(APPROX, *ref_mul(absolute(a), absolute(b)))
+        n = min(len(a.coeffs), len(b.coeffs))
+        ax, bx = a.as_backend(APPROX), b.as_backend(APPROX)
+        assert_within_rounding(ax * bx, want, mag, n)
+        assert_within_rounding(Series2(APPROX, *ref_mul(ax, bx)), want, mag, n)
 
 
 def ref_sub(a, b):

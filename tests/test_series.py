@@ -14,6 +14,7 @@ from symdiff2 import (
     ZeroSeries,
     reverse_map,
 )
+from symdiff2.expressions import eval_text
 from conftest import assert_refines, axis_series, rand_coordmap, rand_fraction, rand_poly2, rand_unit2, tame
 
 
@@ -171,6 +172,16 @@ def test_integer_pow_matches_repeated_multiplication(ctx):
     u = rand_unit2(ctx, rnd, small=tame(ctx)).truncated(8)
     assert u.pow_scalar(3, 8).eq_through(u * u * u)
     assert u.pow_scalar(-2, 8).eq_through(u.invert_unit(8) * u.invert_unit(8))
+
+
+def test_negative_integer_pow_is_the_quotient_of_the_expression(ctx):
+    # a base z1^k * unit is divided by, as the expression z1^-1 is read
+    z1, z2, one = gens(ctx)
+    for got, text in ((z1 ** -1, "z1^-1"),
+                      ((z1 * (one + z2)).pow_scalar(-2, 6), "(z1*(1+z2))^-2")):
+        want = eval_text(text, 6, ctx)
+        assert got.pole == want.pole > 0
+        assert got.eq_through(want), text
 
 
 # -- ring axioms ----------------------------------------------------------------

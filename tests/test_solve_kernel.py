@@ -1,15 +1,17 @@
-"""Oracle for the integer cross sums behind the exact graded solve.
+"""Oracle for the kernel sums behind the graded solve.
 
-``ref_graded_solve`` below is the solver as it was before the exact backend
-summed on integer numerators: one Gaussian-rational product and sum per pair
-of terms, the Euler weight and the lead's inverse applied as scalars.  The
-approx backend still runs that loop.  On seeded random exact inputs the
-solver must reproduce its forms (values and key order) and its None verdicts,
+``ref_graded_solve`` below is the solver as it was before both backends
+summed in the one kernel: one scalar product and sum per pair of terms, the
+Euler weight and the lead's inverse applied as scalars.  On seeded random
+exact inputs the solver must reproduce its forms (values and key order) and
+its None verdicts,
 through every path: a scalar lead of 1 or another scalar, a leading form that
 divides or does not, Euler weights with rational and Gaussian ``a`` (some
 vanishing at some k), and cross sums that cancel to 0.  Its square loop
 (``cross`` left out: q itself, lead 2*q_0) is the oracle for the roots that
-the solver now finds by Miller's weights.
+the solver now finds by Miller's weights.  On the same scalar-lead inputs
+rounded to floats, the solver and the reference loop must both give the exact
+forms to within a rounding bound scaled to the solve run on absolute values.
 """
 
 import random
@@ -17,8 +19,9 @@ from fractions import Fraction
 
 import pytest
 
-from symdiff2 import EXACT, INF, Series2
+from symdiff2 import APPROX, EXACT, INF, Series2
 from symdiff2.series import _forms, _graded_solve, _homog_div
+from conftest import rounding_bound
 
 ctx = EXACT
 
@@ -209,3 +212,59 @@ def test_cross_sums_that_cancel_to_zero():
         q = assert_same_solve([{}] * (top + 1), ctx.one, [{0: ctx.one}], parts,
                               (ctx.from_rational(Fraction(3, 2)), 1))
         assert not any(q[2:])
+
+
+def magnitude_solve(target, lead, solved, cross, euler=None):
+    """The scalar-lead solve on absolute values, m_e = (|target_e| +
+    sum_k |w(k, e)| * |cross_k| * m_{e-k}) / |lead|: a majorant of every
+    summand of q_e."""
+    m = [{x: abs(complex(c)) for x, c in f.items()} for f in solved]
+    for e in range(len(m), len(target)):
+        acc = {x: abs(complex(c)) for x, c in target[e].items()}
+        for k in range(1, min(e, len(cross) - 1) + 1):
+            w = abs(complex(euler[0] * k - euler[1] * e)) / e if euler else 1
+            for x1, c1 in cross[k].items():
+                for x2, c2 in m[e - k].items():
+                    acc[x1 + x2] = acc.get(x1 + x2, 0.0) + w * abs(complex(c1)) * c2
+        m.append({x: c / abs(complex(lead)) for x, c in acc.items()})
+    return m
+
+
+def assert_solve_within_rounding(target, lead, solved, cross, euler=None):
+    """Both solvers on the inputs rounded to floats, against the exact forms:
+    an error in q_{e-k} reaches q_e through the cross sum, so q_e is allowed
+    e + 1 times the rounding bound of one sum of at most n summands."""
+    want = ref_graded_solve(ctx, target, lead, solved, cross, euler)
+    mag = magnitude_solve(target, lead, solved, cross, euler)
+    n = len(target) * (len(target) + 1) // 2 + 1
+
+    def rounded(forms):
+        return [{x: complex(c) for x, c in f.items()} for f in forms]
+
+    args = rounded(target), complex(lead), rounded(solved), rounded(cross)
+    weights = euler and (complex(euler[0]), euler[1])
+    for got in (_graded_solve(APPROX, *args, weights),
+                ref_graded_solve(APPROX, *args, weights)):
+        assert len(got) == len(want)
+        for e, (g, f, m) in enumerate(zip(got, want, mag)):
+            for x in g.keys() | f.keys():
+                err = abs(g.get(x, 0) - complex(f.get(x, 0)))
+                assert err <= (e + 1) * rounding_bound(m.get(x, 0.0), n), (e, x)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_approx_solves_are_the_exact_solve_within_rounding(seed):
+    # quotients with a scalar lead, and exp, log and powers by Euler weights
+    rnd = random.Random(400 + seed)
+    for _ in range(30):
+        complex_ok = rnd.random() < 0.5
+        n = rnd.randint(1, 10)
+        target = [rand_form(rnd, e, complex_ok) for e in range(n)]
+        cross = [{}] + [rand_form(rnd, k, complex_ok) for k in range(1, rnd.randint(1, n + 1))]
+        lead = ctx.one if rnd.random() < 0.4 else rand_scalar(rnd, complex_ok, nonzero=True)
+        assert_solve_within_rounding(target, lead, [], cross)
+        a, b = rnd.choice(EULER)
+        a = ctx.from_rational(*a) if isinstance(a, tuple) else ctx.from_rational(a)
+        parts = [{0: ctx.one}] + [rand_form(rnd, k, complex_ok) for k in range(1, n)]
+        assert_solve_within_rounding([{}] * n, lead, [{0: ctx.one}], parts, (a, b))
+        assert_solve_within_rounding(parts, lead, [{}], parts, (a, b))

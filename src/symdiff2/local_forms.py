@@ -385,8 +385,10 @@ def analyze_product_form(
     recenters z2 when the base point at the origin is degenerate.
     """
     ctx = u.ctx
-    if h.order is INF and h.is_zero():  # no truncation brings a term back
-        raise ValueError("zero differential: the scale factor vanishes identically")
+    if h.is_zero():
+        if h.order is INF:  # no truncation brings a term back
+            raise ValueError("zero differential: the scale factor vanishes identically")
+        raise ZeroSeries("conformal factor vanishes through the guaranteed order")
     if not ctx.is_zero(u.constant_term):
         raise NotALeafPresentation(
             "the base point does not lie on the leaf {u = 0}; "

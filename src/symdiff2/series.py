@@ -24,7 +24,7 @@ one pass, and only the outputs become fractions again, or complex quotients.
 ``_table`` and ``_sum`` are the only places that tell the backends apart.
 The kernel forms every product of two tables of at least two terms each; a
 product with a one-term operand, where the tabling costs more than it saves,
-forms the scalar products pair by pair.  A sum of weighted products ``start +
+is a key shift of the other operand.  A sum of weighted products ``start +
 sum w*a*b`` (the curvature numerator, the discriminant, a chart form's
 residual, wedges) is one call of ``products_sum`` and one call of the kernel:
 no intermediate product series is built, and the sum claims the order of the
@@ -46,11 +46,11 @@ output coefficient.
 
 An integer power is repeated squaring of the base, and a negative one the
 quotient 1 / base^-n; a power is exact only when no order is asked for, and
-otherwise truncated at that order.
+otherwise truncated at that order, plus k*|n| for a polynomial z1^k * unit.
 
 Composition ``s(inner1, inner2)`` needs inner power series that fix the
-origin and is one Horner pass in inner1: each z1-row of ``s`` is summed in one
-pass from the powers of inner2, cached once, so every map (the identity, a
+origin and is one call of the kernel, the sum of c_ij * inner1^i * inner2^j
+over powers of each inner series cached once, so every map (the identity, a
 shear, a dense chart) takes the same path.  It is guaranteed through
 ``min(order, s.order)`` where the inner series' orders allow.  A Laurent ``s``
 with pole P needs ``inner1 = z1 * (unit)`` and is composed as the power series
@@ -243,25 +243,15 @@ class Series2:
             return self.scale(other)
         self._check_compat(other)
         order = _product_order(self, other)
+        ctx = self.ctx
         if len(self.coeffs) > 1 and len(other.coeffs) > 1:
-            ctx = self.ctx
             a, b = _table(ctx, self.coeffs), _table(ctx, other.coeffs)
             return Series2(ctx, _sum(ctx, [(1, 0, a, b)], order), order, self.names)
-        out = {}
-        finite = order is not INF
-        bitems = list(other.coeffs.items())
-        for (i1, j1), c1 in self.coeffs.items():
-            d1 = i1 + j1
-            for (i2, j2), c2 in bitems:
-                if finite and d1 + i2 + j2 > order:
-                    continue
-                k = (i1 + i2, j1 + j2)
-                p = c1 * c2
-                if k in out:
-                    out[k] = out[k] + p
-                else:
-                    out[k] = p
-        return Series2(self.ctx, out, order, self.names)
+        # a one-term operand shifts the other's keys; a zero one leaves none
+        one, many = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
+        out = {(i1 + i2, j1 + j2): c1 * c2 for (i1, j1), c1 in one.coeffs.items()
+               for (i2, j2), c2 in many.coeffs.items() if i1 + j1 + i2 + j2 <= order}
+        return Series2(ctx, out, order, self.names)
 
     __rmul__ = __mul__
 
@@ -417,8 +407,12 @@ class Series2:
         if n is not None and n >= 0:
             return self._int_pow(n, order)
         if n is not None:
+            cut = order  # an exact base keeps the k*|n| degrees its z1^k costs
+            if order is not None and self.order is INF:
+                k = max(0, min((i for i, _ in self.coeffs), default=0))
+                cut = None if len(self.coeffs) == 1 else order - k * n
             one = Series2.const(self.ctx, self.ctx.one, INF, self.names)
-            return one.divide(self._int_pow(-n, order), order)
+            return one.divide(self._int_pow(-n, cut), order)
         if not self.is_unit:
             raise NotAUnit("fractional powers require a unit base")
         c = self.constant_term
@@ -449,14 +443,14 @@ class Series2:
         """Formal composition s(inner1, inner2); both inner series must be
         power series that fix the origin.
 
-        A power series is one Horner pass in inner1 over its z1-rows (Brent &
-        Kung, J. ACM 25, 1978): row i, the sum of c_ij * inner2^j, is read off
-        powers of inner2 cached once, and claims the least order of the powers
-        it reads.  The result is guaranteed through ``min(order, self.order)``
-        as far as the inner series' orders allow.  A Laurent series with pole
-        P needs ``inner1 = z1 * u`` with u a unit: ``z1^P * self`` is
-        composed, divided by ``u^P`` and by ``z1^P``, so the result is
-        guaranteed through ``min(order - P, self.order)``.
+        A power series is the sum of c_ij * inner1^i * inner2^j in one
+        ``_sum`` call over powers of each inner series formed once, truncated
+        at ``top = min(order, self.order)``.  It claims the least
+        ``_product_order`` of the pairs it reads, so ``top`` as far as the
+        inner series' orders allow.  A Laurent series with pole P needs
+        ``inner1 = z1 * u`` with u a unit: ``z1^P * self`` is composed,
+        divided by ``u^P`` and by ``z1^P``, so the result is guaranteed
+        through ``min(order - P, self.order)``.
         """
         inner1._check_compat(inner2)
         ctx = self.ctx
@@ -478,21 +472,20 @@ class Series2:
             return q.div_monomial(P, 0)
         top = min(INF if order is None else order, self.order)
         names = inner1.names
-        rows = {}
-        for (i, j), c in self.coeffs.items():
-            rows.setdefault(i, {})[j] = c
-        powers = [Series2.const(ctx, ctx.one, top, names)]
-        for _ in range(max((j for _, j in self.coeffs), default=0)):
-            powers.append((powers[-1] * inner2).truncated(top))
-        acc = Series2.zero(ctx, top, names)
-        for i in range(max(rows, default=0), -1, -1):
-            row, claim = {}, top
-            for j, c in rows.get(i, {}).items():
-                claim = min(claim, powers[j].order)
-                for k, p in powers[j].coeffs.items():
-                    row[k] = row[k] + c * p if k in row else c * p
-            acc = (acc * inner1).truncated(top) + Series2(ctx, row, claim, names)
-        return acc
+        powers = []
+        for inner, n in ((inner1, 0), (inner2, 1)):
+            p = [Series2.const(ctx, ctx.one, top, names)]
+            for _ in range(max((k[n] for k in self.coeffs), default=0)):
+                p.append((p[-1] * inner).truncated(top))
+            powers.append([(x, _table(ctx, x.coeffs)) for x in p])
+        D, rows, _ = _table(ctx, self.coeffs)
+        claim, terms = top, []
+        for i, j, _, x, y in rows:
+            (a, ta), (b, tb) = powers[0][i], powers[1][j]
+            claim = min(claim, _product_order(a, b))
+            if a.coeffs and b.coeffs:
+                terms.append((x, y, ta, tb))
+        return Series2(ctx, _sum(ctx, terms, claim, den=D), claim, names)
 
     # -- display --------------------------------------------------------
 

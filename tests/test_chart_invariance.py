@@ -5,22 +5,21 @@ defined through local decompositions into closed 1-differentials, not
 through a chart.  Pulling a product form w = scale * du * dr back by a
 biholomorphism that fixes the origin is textual: substitute both variables
 in ``scale``, ``u`` and ``r``.  ``theorem26`` must then give the same exit
-code and the same k, m and alpha as in the original chart.
+code and the same k, m and alpha as in the original chart.  The maps and
+the pullback are those of ``tools/invariance_sweep.py``, which runs the same
+comparison of exit codes over the benchmark's product-form jobs.
 """
 
 import json
-import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from symdiff2.cli import run
 
-# three maps fixing the origin with invertible linear part
-MAPS = {
-    "shear": ("z1+z1*z2/2", "z2+z1^2"),
-    "mix": ("z1+z2^2", "z2-z1/3"),
-    "lin": ("2*z1+z2", "z1-z2"),
-}
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from invariance_sweep import MAPS, pull_back  # noqa: E402
 
 README = "exp(z2/(1+z1*z2))"
 DOCUMENTS = {
@@ -47,13 +46,6 @@ DOCUMENTS = {
                  "*exp((-1/3)*(z1+z2^2)*(1+(z1+z2^2)^2*z2))*exp((1/2)*z2)",
         "u": "z1+z2^2", "r": "(z1+z2^2)*(1+(z1+z2^2)^2*z2)"},
 }
-
-
-def pull_back(w, images):
-    """The product form w in the chart z -> images: both variables replaced at once."""
-    def swap(match):
-        return f"({images[int(match.group(1)) - 1]})"
-    return {key: re.sub(r"\bz([12])\b", swap, text) for key, text in w.items()}
 
 
 def theorem26(w):

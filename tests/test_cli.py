@@ -428,14 +428,19 @@ def test_remaining_error_conditions_reach_the_cli():
             cases.append((cmd, {"truncation": 24, "backend": "exact",
                                 "w": {"scale": scale, "u": "z1", "r": "z1*(1+z1*z2)"}},
                           "ValueError", EXIT_INPUT))
-    cases.append(("theorem26", {"truncation": 10, "backend": "exact",
+    for truncation in (8, 10):
+        for cmd in ("theorem26", "normal-form"):
+            cases.append((cmd, {"truncation": truncation, "backend": "exact",
                                 "w": {"scale": "exp(z1)-exp(z1)", "u": "z1",
                                       "r": "z1*(1+z1*z2)"}},
-                  "ZeroSeries", EXIT_PRECISION))
+                          "ZeroSeries", EXIT_PRECISION))
     for cmd, job, expect, want_code in cases:
         code, rep = invoke(cmd, job)
         assert code == want_code, (cmd, expect)
         assert rep["error"]["type"] == expect, cmd
+        if job["w"].get("scale") == "exp(z1)-exp(z1)":
+            assert rep["error"]["message"] == (
+                "conformal factor vanishes through the guaranteed order")
 
 
 def test_split_lowest_form_with_odd_top_exponent_is_not_a_square():

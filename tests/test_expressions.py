@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from symdiff2 import APPROX, EXACT
+from symdiff2 import APPROX, EXACT, INF
 from symdiff2.errors import (
     BackendMismatch,
     DivisionByNonUnit,
@@ -239,16 +239,27 @@ def test_eval_integer_powers_of_non_units(ctx):
     assert s.pole == 1
 
 
-@pytest.mark.parametrize("N", [12, 20])
+@pytest.mark.parametrize("N", [6, 12, 20])
 @pytest.mark.parametrize(
-    "power, quotient",
-    [("(1+z1)^(-1)", "1/(1+z1)"), ("(1+z1+z2^2)^(-2)", "1/(1+z1+z2^2)^2")],
+    "power, quotient, lost",
+    [("(1+z1)^(-1)", "1/(1+z1)", 0), ("(1+z1+z2^2)^(-2)", "1/(1+z1+z2^2)^2", 0),
+     ("z1^-1", "1/z1", None), ("z1^-2*(1+z2)", "1/z1^2*(1+z2)", None),
+     ("(z1*(1+z2))^-2", "1/(z1*(1+z2))^2", 2)],
 )
-def test_negative_power_of_a_unit_is_the_quotient(power, quotient, N):
-    # both are solved through the job's order, however high it is
+def test_negative_power_is_the_quotient(power, quotient, lost, N):
+    # both are solved through the job's order, however high it is, less the
+    # degrees that dividing by a power of z1 costs; a monomial stays exact
     s, q = eval_text(power, N, EXACT), eval_text(quotient, N, EXACT)
-    assert s.order == q.order == N
+    assert s.order == q.order == (INF if lost is None else N - lost)
     assert s.coeffs == q.coeffs
+
+
+def test_negative_power_of_a_dense_unit_is_formed_at_the_job_order():
+    # the base's power is truncated at N, not formed exactly: its 5151 terms
+    # would pass MAX_POWER_TERMS
+    s = eval_text("(1+z1+z2)^-100", 8, EXACT)
+    assert s.order == 8
+    assert len(s.coeffs) == 45
 
 
 def test_eval_imaginary_unit(ctx):

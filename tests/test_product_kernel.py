@@ -2,14 +2,15 @@
 
 ``ref_mul`` below is the pair loop that every product ran before the kernel:
 one scalar product and sum per pair of terms, pairs beyond the truncation
-skipped.  Products with a one-term operand still run it.  On seeded random
-exact tables the kernel must reproduce its coefficients, its key set (a
-coefficient that cancels to zero is absent) and its guaranteed order.  On the
-same tables rounded to floats, the kernel and the pair loop must both give
-the exact product to within a rounding bound scaled to the absolute values of
-each coefficient's summands.  Subtraction is one pass over both tables and
-must equal ``a + (-b)``: exactly on the exact backend, bit for bit on the
-approx backend.
+skipped.  On seeded random exact tables every product must reproduce its
+coefficients, its key set (a coefficient that cancels to zero is absent) and
+its guaranteed order: a product of two tables of two terms or more runs the
+kernel, and a product with a one-term or zero operand shifts the keys of the
+other operand.  On the same tables rounded to floats, the kernel and the pair
+loop must both give the exact product to within a rounding bound scaled to
+the absolute values of each coefficient's summands.  Subtraction is one pass
+over both tables and must equal ``a + (-b)``: exactly on the exact backend,
+bit for bit on the approx backend.
 """
 
 import random
@@ -106,7 +107,7 @@ def test_kernel_drops_the_coefficients_that_cancel(complex_ok):
 
 
 def test_kernel_boundary_operands():
-    # two-term operands take the kernel, one-term and zero operands the pair loop
+    # two-term operands take the kernel, one-term and zero operands a key shift
     rnd = random.Random(3)
     for n in (0, 1, 2, 3):
         for _ in range(20):
@@ -116,12 +117,21 @@ def test_kernel_boundary_operands():
                            laurent=True, truncated=rnd.random() < 0.5)
             assert_same_product(a, b)
             assert_same_product(b, a)
+    # 3*z1*z2 known through degree 3 claims 3 + val(b) = 3, which cuts the
+    # shift of b's terms of degree 2 and more; a zero operand leaves no key
+    b = Series2(EXACT, {(0, 0): EXACT.one, (1, 0): EXACT.from_rational(1, 2),
+                        (0, 2): EXACT.from_rational(0, 1), (-1, 3): EXACT.one}, INF)
+    one = Series2(EXACT, {(1, 1): EXACT.from_int(3)}, 3)
+    assert set((one * b).coeffs) == set((b * one).coeffs) == {(1, 1), (2, 1)}
+    for a in (one, Series2.zero(EXACT), Series2.zero(EXACT, 4)):
+        assert_same_product(a, b)
+        assert_same_product(b, a)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_approx_products_are_the_exact_product_within_rounding(seed):
-    # two-term operands and more take the kernel, a one-term operand the pair
-    # loop; ref_mul runs the pair loop on every shape
+    # two-term operands and more take the kernel, a one-term operand a key
+    # shift; ref_mul runs the pair loop on every shape
     rnd = random.Random(50 + seed)
     for _ in range(40):
         shape = dict(complex_ok=rnd.random() < 0.5, integer=False, laurent=rnd.random() < 0.3)

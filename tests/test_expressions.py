@@ -241,14 +241,25 @@ def test_eval_integer_powers_of_non_units(ctx):
 
 @pytest.mark.parametrize("N", [6, 12, 20])
 @pytest.mark.parametrize(
+    "power, quotient",
+    [("(1+z1)^(-1)", "1/(1+z1)"), ("(1+z1+z2^2)^(-2)", "1/(1+z1+z2^2)^2")],
+)
+def test_negative_power_of_a_unit_is_the_quotient(power, quotient, N):
+    # both are solved through the job's order, however high it is
+    s, q = eval_text(power, N, EXACT), eval_text(quotient, N, EXACT)
+    assert s.order == q.order == N
+    assert s.coeffs == q.coeffs
+
+
+@pytest.mark.parametrize("N", [6, 12, 20])
+@pytest.mark.parametrize(
     "power, quotient, lost",
-    [("(1+z1)^(-1)", "1/(1+z1)", 0), ("(1+z1+z2^2)^(-2)", "1/(1+z1+z2^2)^2", 0),
-     ("z1^-1", "1/z1", None), ("z1^-2*(1+z2)", "1/z1^2*(1+z2)", None),
+    [("z1^-1", "1/z1", None), ("z1^-2*(1+z2)", "1/z1^2*(1+z2)", None),
      ("(z1*(1+z2))^-2", "1/(z1*(1+z2))^2", 2)],
 )
-def test_negative_power_is_the_quotient(power, quotient, lost, N):
-    # both are solved through the job's order, however high it is, less the
-    # degrees that dividing by a power of z1 costs; a monomial stays exact
+def test_negative_power_of_a_z1_factor_is_the_quotient(power, quotient, lost, N):
+    # dividing by a power of z1 costs that many degrees of the job's order;
+    # a monomial stays exact
     s, q = eval_text(power, N, EXACT), eval_text(quotient, N, EXACT)
     assert s.order == q.order == (INF if lost is None else N - lost)
     assert s.coeffs == q.coeffs

@@ -46,15 +46,17 @@ output coefficient.
 
 An integer power is repeated squaring of the base, and a negative one the
 quotient 1 / base^-n; a power is exact only when no order is asked for, and
-otherwise truncated at that order, plus k*|n| for a polynomial z1^k * unit.
+otherwise truncated at that order.  A negative power of z1^k * u cuts only
+u's power at that order before dividing, so the cut does not grow with |n|.
 
 Composition ``s(inner1, inner2)`` needs inner power series that fix the
-origin and is one call of the kernel, the sum of c_ij * inner1^i * inner2^j
-over powers of each inner series cached once, so every map (the identity, a
-shear, a dense chart) takes the same path.  It is guaranteed through
-``min(order, s.order)`` where the inner series' orders allow.  A Laurent ``s``
-with pole P needs ``inner1 = z1 * (unit)`` and is composed as the power series
-``z1^P * s``; dividing back by z1^P leaves ``min(order - P, s.order)``.
+origin and sums inner1^i times the z1-rows of ``s`` (row i is the sum of c_ij *
+inner2^j) in the kernel, from powers of each inner series cached once, so every
+map (the identity, a shear, a dense chart) takes the same path.  It is
+guaranteed through ``min(order, s.order)`` where the inner series' orders
+allow.  A Laurent ``s`` with pole P needs ``inner1 = z1 * (unit)`` and is
+composed as the power series ``z1^P * s``; dividing back by z1^P leaves
+``min(order - P, s.order)``.
 
 A one-variable series (a slice along an axis, or the Laurent data along the
 leaf) is a :class:`Series2` whose terms lie on one axis.  :class:`CoordMap`
@@ -406,13 +408,12 @@ class Series2:
         n = _as_int(e)
         if n is not None and n >= 0:
             return self._int_pow(n, order)
-        if n is not None:
-            cut = order  # an exact base keeps the k*|n| degrees its z1^k costs
-            if order is not None and self.order is INF:
-                k = max(0, min((i for i, _ in self.coeffs), default=0))
-                cut = None if len(self.coeffs) == 1 else order - k * n
+        if n is not None:  # self = z1^k * u: only u's power is cut at order
+            k = max(0, min((i for i, _ in self.coeffs), default=0))
+            u = self.div_monomial(k, 0)
+            cut = None if len(u.coeffs) == 1 and u.order is INF else order
             one = Series2.const(self.ctx, self.ctx.one, INF, self.names)
-            return one.divide(self._int_pow(-n, cut), order)
+            return one.divide(u._int_pow(-n, cut), order).div_monomial(-k * n, 0)
         if not self.is_unit:
             raise NotAUnit("fractional powers require a unit base")
         c = self.constant_term
@@ -443,14 +444,15 @@ class Series2:
         """Formal composition s(inner1, inner2); both inner series must be
         power series that fix the origin.
 
-        A power series is the sum of c_ij * inner1^i * inner2^j in one
-        ``_sum`` call over powers of each inner series formed once, truncated
-        at ``top = min(order, self.order)``.  It claims the least
-        ``_product_order`` of the pairs it reads, so ``top`` as far as the
-        inner series' orders allow.  A Laurent series with pole P needs
-        ``inner1 = z1 * u`` with u a unit: ``z1^P * self`` is composed,
-        divided by ``u^P`` and by ``z1^P``, so the result is guaranteed
-        through ``min(order - P, self.order)``.
+        A power series is the sum over its z1-rows of inner1^i * row_i, row_i
+        the sum of c_ij * inner2^j: one ``_sum`` call per row (products with
+        the table of 1) and one over the rows, from powers of each inner series
+        formed once and truncated at ``top = min(order, self.order)``, so a
+        dense map costs about one truncated product per row.  It claims the
+        least ``_product_order`` of the pairs (inner1^i, inner2^j) it reads.
+        A Laurent series with pole P needs ``inner1 = z1 * u`` with u a unit:
+        ``z1^P * self`` is composed, divided by ``u^P`` and by ``z1^P``, so the
+        result is guaranteed through ``min(order - P, self.order)``.
         """
         inner1._check_compat(inner2)
         ctx = self.ctx
@@ -471,21 +473,23 @@ class Series2:
             q = lifted.divide(u._int_pow(P, order), lifted._resolve_order(order))
             return q.div_monomial(P, 0)
         top = min(INF if order is None else order, self.order)
-        names = inner1.names
+        names, one = inner1.names, _table(ctx, {(0, 0): ctx.one})
         powers = []
         for inner, n in ((inner1, 0), (inner2, 1)):
             p = [Series2.const(ctx, ctx.one, top, names)]
             for _ in range(max((k[n] for k in self.coeffs), default=0)):
                 p.append((p[-1] * inner).truncated(top))
             powers.append([(x, _table(ctx, x.coeffs)) for x in p])
-        D, rows, _ = _table(ctx, self.coeffs)
-        claim, terms = top, []
-        for i, j, _, x, y in rows:
-            (a, ta), (b, tb) = powers[0][i], powers[1][j]
+        D, coeffs, _ = _table(ctx, self.coeffs)
+        claim, rows = top, {}
+        for i, j, _, x, y in coeffs:
+            (a, _), (b, tb) = powers[0][i], powers[1][j]
             claim = min(claim, _product_order(a, b))
             if a.coeffs and b.coeffs:
-                terms.append((x, y, ta, tb))
-        return Series2(ctx, _sum(ctx, terms, claim, den=D), claim, names)
+                rows.setdefault(i, []).append((x, y, one, tb))
+        terms = [(1, 0, powers[0][i][1], _table(ctx, _sum(ctx, row, claim, den=D)))
+                 for i, row in rows.items()]
+        return Series2(ctx, _sum(ctx, terms, claim), claim, names)
 
     # -- display --------------------------------------------------------
 

@@ -6,20 +6,24 @@ through a chart.  Pulling a product form w = scale * du * dr back by a
 biholomorphism that fixes the origin is textual: substitute both variables
 in ``scale``, ``u`` and ``r``.  ``theorem26`` must then give the same exit
 code and the same k, m and alpha as in the original chart.  The maps and
-the pullback are those of ``tools/invariance_sweep.py``, which runs the same
-comparison of exit codes over the benchmark's product-form jobs.
+the pullback are those of ``tools/charts.py``, which ``tools/invariance_sweep.py``
+uses to compare exit codes over the benchmark's product-form jobs.
 """
 
+import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from symdiff2.cli import run
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from invariance_sweep import MAPS, pull_back  # noqa: E402
+# loaded from its file, so that no tools/ module lands on sys.path
+_spec = importlib.util.spec_from_file_location(
+    "charts", Path(__file__).resolve().parents[1] / "tools" / "charts.py")
+charts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(charts)
+MAPS, pull_back = charts.MAPS, charts.pull_back
 
 README = "exp(z2/(1+z1*z2))"
 DOCUMENTS = {

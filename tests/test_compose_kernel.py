@@ -1,10 +1,11 @@
 """Oracle for composition, ``Series2.substitute``.
 
 ``ref_substitute`` below is the two-level Horner scheme that composition ran
-before it became one sum of products in the kernel: Horner's rule in inner1
+before it became a sum of products in the kernel: Horner's rule in inner1
 over rows that are themselves Horner sums in inner2, each step truncated at
-the claim.  On seeded random exact inputs the one sum of c_ij * inner1^i *
-inner2^j must reproduce its coefficients, its key set and its claimed order,
+the claim.  On seeded random exact inputs the sum of inner1^i times each
+z1-row (the sum of c_ij * inner2^j) over cached powers of the inner series
+must reproduce its coefficients, its key set and its claimed order,
 over outer series that are polynomial, truncated, gapped between z1-rows,
 zero or constant, and inner maps that are the identity, ``inner2 = z2``,
 one-term, dense or zero, with inner orders above and below the requested

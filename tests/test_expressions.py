@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -255,11 +258,14 @@ def test_negative_power_of_a_unit_is_the_quotient(power, quotient, N):
 @pytest.mark.parametrize(
     "power, quotient, lost",
     [("z1^-1", "1/z1", None), ("z1^-2*(1+z2)", "1/z1^2*(1+z2)", None),
-     ("(z1*(1+z2))^-2", "1/(z1*(1+z2))^2", 2)],
+     ("(z1*(1+z2))^-2", "1/(z1*(1+z2))^2", 2),
+     ("(z1^2*(1+z1+z2))^-3", "1/(z1^2*(1+z1+z2))^3", 6),
+     ("(z1*exp(z2))^-1", "1/(z1*exp(z2))", 1),
+     ("(z1*exp(z2))^-3", "z1^-3*exp(-3*z2)", 3)],
 )
 def test_negative_power_of_a_z1_factor_is_the_quotient(power, quotient, lost, N):
-    # dividing by a power of z1 costs that many degrees of the job's order;
-    # a monomial stays exact
+    # dividing by a power of z1 costs that many degrees of the job's order,
+    # for an exact or a truncated base; a monomial stays exact
     s, q = eval_text(power, N, EXACT), eval_text(quotient, N, EXACT)
     assert s.order == q.order == (INF if lost is None else N - lost)
     assert s.coeffs == q.coeffs
@@ -271,6 +277,25 @@ def test_negative_power_of_a_dense_unit_is_formed_at_the_job_order():
     s = eval_text("(1+z1+z2)^-100", 8, EXACT)
     assert s.order == 8
     assert len(s.coeffs) == 45
+
+
+Z1_FACTOR_POWER_CHILD = """
+from symdiff2 import EXACT
+from symdiff2.expressions import eval_text
+s = eval_text("(z1*(1+z1+z2))^-1000", 8, EXACT)
+q = eval_text("z1^-1000*(1+z1+z2)^-1000", 8, EXACT)
+print(s.order, q.order, len(s.coeffs), s.coeffs == q.coeffs)
+"""
+
+
+def test_negative_power_of_a_z1_factor_times_a_dense_unit_is_formed_at_the_job_order():
+    # one interpreter under a timeout: cutting the power at N + |n| formed
+    # (1+z1+z2)^512 in full; the unit's power is cut at N and the quotient
+    # shifted by z1^-1000
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", Z1_FACTOR_POWER_CHILD], env=env,
+                         capture_output=True, text=True, timeout=30)
+    assert out.stdout.split() == ["-992", "-992", "45", "True"]
 
 
 def test_eval_imaginary_unit(ctx):

@@ -25,25 +25,16 @@ CHANGES.md.
 
 from __future__ import annotations
 
-import argparse
-import json
-import re
 import sys
 from pathlib import Path
-from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import jobs as jobgen  # noqa: E402
-from symdiff2 import cli  # noqa: E402
+from charts import MAPS, pull_back  # noqa: E402
+from known_list import check, exit_code  # noqa: E402
 
-# three maps fixing the origin with invertible linear part
-MAPS = {
-    "shear": ("z1+z1*z2/2", "z2+z1^2"),
-    "mix": ("z1+z2^2", "z2-z1/3"),
-    "lin": ("2*z1+z2", "z1-z2"),
-}
 WORKLOADS = ("exact-transcendental", "exact-algebraic")
 SEEDS = (1, 7)
 ROUNDS = (0, 1)
@@ -51,25 +42,11 @@ MAX_N = 16
 KNOWN = Path(__file__).with_name("invariance_sweep.json")
 
 
-def pull_back(w, images):
-    """The texts of w in the chart z -> images: both variables replaced at once."""
-    def swap(match):
-        return f"({images[int(match.group(1)) - 1]})"
-    return {key: re.sub(r"\bz([12])\b", swap, text) for key, text in w.items()}
-
-
 def _pulled_doc(doc: dict, images) -> dict:
     out = {**doc, "w": pull_back(doc["w"], images)}
     if "components" in doc:
         out["components"] = list(pull_back(dict(enumerate(doc["components"])), images).values())
     return out
-
-
-def _exit_code(command: str, doc: dict):
-    try:
-        return cli.run([command], json.dumps(doc, sort_keys=True))[0]
-    except Exception:  # an escaped exception is an outcome, never a verdict
-        return None
 
 
 def sweep():
@@ -82,40 +59,18 @@ def sweep():
                 for job in jobgen.generate(workload, seed, round_index):
                     if "scale" not in job.doc["w"] or job.N > MAX_N:
                         continue
-                    own = _exit_code(job.command, job.doc)
+                    own = exit_code(job.command, job.doc)
                     for label, images in MAPS.items():
                         runs += 1
-                        code = _exit_code(job.command, _pulled_doc(job.doc, images))
+                        code = exit_code(job.command, _pulled_doc(job.doc, images))
                         if code != own:
                             found[f"{workload}:{seed}:{job.id}:{label}"] = [own, code]
     return runs, found
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--record", action="store_true",
-                        help="re-record the list of known differences")
-    args = parser.parse_args(argv)
-    t0 = perf_counter()
-    runs, got = sweep()
-    seconds = perf_counter() - t0
-    if args.record:
-        lines = (f"{json.dumps(k)}: {json.dumps(got[k])}" for k in sorted(got))
-        KNOWN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-        print(f"recorded {len(got)} differences of {runs} pulled-back runs in "
-              f"{seconds:.1f} s to {KNOWN}")
-        return 0
-    want = json.loads(KNOWN.read_text())
-    new = sorted(k for k in got if got[k] != want.get(k))
-    mended = sorted(want.keys() - got.keys())
-    for key in new:
-        print(f"difference: {key} exit {got[key][0]} in its chart, {got[key][1]} pulled back"
-              + (f" (recorded {want[key]})" if key in want else ""))
-    for key in mended:
-        print(f"mended: {key} no longer differs (recorded {want[key]})")
-    print(f"{runs} pulled-back runs in {seconds:.1f} s: {len(got)} differences, "
-          f"{len(new)} not on the list, {len(mended)} mended")
-    return 1 if new else 0
+    return check(argv, __doc__.splitlines()[0], KNOWN, sweep, "difference",
+                 "pulled-back runs", "exit {} in its chart, {} pulled back")
 
 
 if __name__ == "__main__":

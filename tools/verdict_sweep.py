@@ -18,29 +18,19 @@ re-records the list and names the job in CHANGES.md.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from pathlib import Path
-from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import jobs as jobgen  # noqa: E402
-from symdiff2 import cli  # noqa: E402
+from known_list import check, exit_code  # noqa: E402
 
 SEEDS = (1, 7)
 ROUNDS = (0, 1)
 STEP = 4
 FLIPS = Path(__file__).with_name("verdict_sweep.json")
-
-
-def _exit_code(command: str, doc: dict):
-    try:
-        return cli.run([command], json.dumps(doc, sort_keys=True))[0]
-    except Exception:  # an escaped exception is an outcome, never a verdict
-        return None
 
 
 def sweep():
@@ -51,38 +41,18 @@ def sweep():
             for round_index in ROUNDS:
                 for job in jobgen.generate(workload, seed, round_index):
                     count += 1
-                    low = _exit_code(job.command, job.doc)
+                    low = exit_code(job.command, job.doc)
                     if low not in (0, 1):
                         continue
-                    high = _exit_code(job.command, {**job.doc, "truncation": job.N + STEP})
+                    high = exit_code(job.command, {**job.doc, "truncation": job.N + STEP})
                     if high != low:
                         flips[f"{workload}:{seed}:{job.id}"] = [low, high]
     return count, flips
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--record", action="store_true", help="re-record the list of known flips")
-    args = parser.parse_args(argv)
-    t0 = perf_counter()
-    count, got = sweep()
-    seconds = perf_counter() - t0
-    if args.record:
-        lines = (f"{json.dumps(k)}: {json.dumps(got[k])}" for k in sorted(got))
-        FLIPS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
-        print(f"recorded {len(got)} flips of {count} jobs in {seconds:.1f} s to {FLIPS}")
-        return 0
-    want = json.loads(FLIPS.read_text())
-    new = sorted(k for k in got if got[k] != want.get(k))
-    mended = sorted(want.keys() - got.keys())
-    for key in new:
-        print(f"flip: {key} exit {got[key][0]} at N, {got[key][1]} at N + {STEP}"
-              + (f" (recorded {want[key]})" if key in want else ""))
-    for key in mended:
-        print(f"mended: {key} no longer flips (recorded {want[key]})")
-    print(f"{count} jobs at N and N + {STEP} in {seconds:.1f} s: {len(got)} flips, "
-          f"{len(new)} not on the list, {len(mended)} mended")
-    return 1 if new else 0
+    return check(argv, __doc__.splitlines()[0], FLIPS, sweep, "flip",
+                 f"jobs at N and N + {STEP}", f"exit {{}} at N, {{}} at N + {STEP}")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -289,10 +290,9 @@ print(s.order, q.order, len(s.coeffs), s.coeffs == q.coeffs)
 
 
 def test_negative_power_of_a_z1_factor_times_a_dense_unit_is_formed_at_the_job_order():
-    # one interpreter under a timeout: cutting the power at N + |n| formed
-    # (1+z1+z2)^512 in full; the unit's power is cut at N and the quotient
-    # shifted by z1^-1000
-    env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # one interpreter under a timeout: only the unit's power is cut at N; a
+    # cut at N + |n| would form the squares up to (1+z1+z2)^512 in full
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", Z1_FACTOR_POWER_CHILD], env=env,
                          capture_output=True, text=True, timeout=30)
     assert out.stdout.split() == ["-992", "-992", "45", "True"]

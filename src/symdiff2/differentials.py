@@ -17,9 +17,11 @@ Component multiplicities are computed by exact division in the local series
 ring.  Division and the square root behind splitting, of a unit or not, call
 the graded solver of ``series`` with one exact homogeneous division per
 degree; the root runs Miller's recurrence for the power 1/2, the one behind
-``Series2.sqrt``, so both root paths sum on the exact backend's one integer
-kernel.  Irreducible components are supplied explicitly as polynomials (the
-coordinate axes in all the worked cases); no factorization is attempted.
+``Series2.sqrt``.  Its start, the root of the lowest form, is
+``Series2.sqrt`` of that form read as a one-variable polynomial with its
+z1-exponents reversed.  Irreducible components are supplied explicitly as
+polynomials (the coordinate axes in all the worked cases); no factorization
+is attempted.
 """
 
 from __future__ import annotations
@@ -205,21 +207,19 @@ def _root_weights(ctx):
 def _homog_sqrt(F: dict, ctx):
     """Square root of a form in x-encoding, or None when it is not a square.
 
-    In y = top - x the root is a power series from sqrt(F[top]), solved by
-    Miller's recurrence with the scalar lead F[top]; F is a square exactly
-    when that series, solved through y^top, stops at y^(top/2).  May raise
-    ExactValueError when sqrt(F[top]) is not an exact scalar.
+    In y = top - x the form is a polynomial with the unit constant F[top];
+    F is a square exactly when its ``Series2.sqrt`` through y^top stops at
+    y^(top/2).  May raise ExactValueError when sqrt(F[top]) is not an exact
+    scalar.
     """
     top = max(F)
     if top % 2:
         return None
     m = top // 2
-    rev = [{0: F[top - e]} if top - e in F else {} for e in range(top + 1)]
-    p = _graded_solve(ctx, [{}] * (top + 1), F[top], [{0: ctx.sqrt(F[top])}], rev,
-                      _root_weights(ctx))
-    if any(not ctx.is_zero(c) for form in p[m + 1:] for c in form.values()):
+    root = Series2(ctx, {(top - x, 0): c for x, c in F.items()}, INF).sqrt(top)
+    if any(y > m for y, _ in root.coeffs):
         return None
-    return {m - e: c for e, form in enumerate(p[: m + 1]) for c in form.values()}
+    return {m - y: c for (y, _), c in root.coeffs.items()}
 
 
 def perfect_square_root(s: Series2, order=None):

@@ -603,9 +603,9 @@ def _evn(node, ctx, order):
             if s.order is INF:
                 _check_power_size(s, n)
             return s._int_pow(n, order if s.order is not INF else None), c.pow(ctx, n)
-        beta = s.constant_term
-        if ctx.is_zero(beta) or s.pole:
+        if not s.is_unit:
             raise NotAUnit("fractional power of a non-unit")
+        beta = s.constant_term
         u = s.scale(ctx.inv(beta))
         series = u.pow_scalar(e, order)
         const = c.pow(ctx, e).mul(
@@ -620,13 +620,7 @@ def _evn(node, ctx, order):
             series = (value - gamma).exp(order)
             return series, UnitConstant(ctx, exp_arg=gamma)
         if node.fn == "log":
-            beta = value.constant_term
-            if ctx.is_zero(beta) or value.pole:
-                raise NotAUnit("log of a non-unit")
-            series = value.scale(ctx.inv(beta)).log(order)
-            if not ctx.eq(beta, ctx.one):
-                series = series + ctx.log(beta)
-            return series, one
+            return value.log(order), one
         raise ValueError(f"unknown function {node.fn!r}")
     if isinstance(node, ScalarLit):
         return Series2.const(ctx, _lit_value(ctx, node), INF, names), one

@@ -14,7 +14,10 @@ through ``min(Na + val(b), Nb + val(a))``, a derivative loses one degree,
 dividing by ``z1^k`` loses ``k``.  Consuming more precision than guaranteed
 raises instead of silently truncating.  An omitted order (None or INF) has one
 rule, ``Series2._resolve_order``: a truncated series' own order, or an exact
-series' degree but never below ``DEFAULT_ORDER`` (16).
+series' degree but never below ``DEFAULT_ORDER`` (16).  An operation that
+would not change its operand returns it: ``truncated`` at an order it would
+not cut and ``div_monomial(0, 0)``.  A ``Series2`` is never mutated, so this
+is safe.
 
 One kernel, ``_sum``, serves every convolution on both backends: each table
 is brought to integer (re, im) numerators over the lcm of its denominators,
@@ -322,6 +325,8 @@ class Series2:
 
     def div_monomial(self, i0: int, j0: int) -> "Series2":
         """Exact division by z1^i0 * z2^j0 (Laurent shift in z1 only)."""
+        if not (i0 or j0):
+            return self
         out = {}
         for (i, j), c in self.coeffs.items():
             if j - j0 < 0:
@@ -366,7 +371,7 @@ class Series2:
         if den.is_zero():
             raise DivisionByNonUnit("division by a series that vanishes identically")
         k = min(i for (i, _) in den.coeffs)
-        u = den.div_monomial(k, 0) if k else den
+        u = den.div_monomial(k, 0)
         if not u.is_unit:
             raise DivisionByNonUnit("denominator is not a unit times a power of z1")
         v = self.valuation
@@ -377,7 +382,7 @@ class Series2:
             forms = _graded_solve(self.ctx, _forms(self, v, top), u.constant_term, [],
                                   _forms(u, 0, top - v))
             q = _from_forms(self.ctx, forms, v, top, self.names)
-        return q.div_monomial(k, 0) if k else q
+        return q.div_monomial(k, 0)
 
     def invert_unit(self, order=None) -> "Series2":
         if not self.is_unit:
@@ -394,7 +399,7 @@ class Series2:
 
     def log(self, order=None) -> "Series2":
         if not self.is_unit:
-            raise NotAUnit("log requires a unit series")
+            raise NotAUnit("log of a non-unit")
         order = self._resolve_order(order)
         c = self.constant_term
         lead = self.ctx.zero if self.ctx.eq(c, self.ctx.one) else self.ctx.log(c)
@@ -417,10 +422,10 @@ class Series2:
         if not self.is_unit:
             raise NotAUnit("fractional powers require a unit base")
         c = self.constant_term
+        lead = self.ctx.pow(c, e)  # an inexact lead raises before the solve
         u = self.scale(self.ctx.inv(c))
         alpha = self.ctx.coerce(e)
-        return u._graded(self._resolve_order(order), alpha + self.ctx.one, 1).scale(
-            self.ctx.pow(c, e))
+        return u._graded(self._resolve_order(order), alpha + self.ctx.one, 1).scale(lead)
 
     def sqrt(self, order=None) -> "Series2":
         return self.pow_scalar(Fraction(1, 2), order)

@@ -325,11 +325,16 @@ def test_eval_exact_constant_exp_raises():
 
     with pytest.raises(ExactValueError):
         eval_text("exp(1+z2)", 6, EXACT)
+    with pytest.raises(ExactValueError):  # as does the log of a constant other than 1
+        eval_text("log(2+z1)", 8, EXACT)
     # but collapses fine on the approx backend
     s = eval_text("exp(1+z2)", 6, APPROX)
     import math
 
     assert APPROX.eq(s.constant_term, complex(math.e))
+    s = eval_text("log(2+z1)", 8, APPROX)
+    assert APPROX.eq(s.constant_term, complex(math.log(2)))
+    assert APPROX.eq(s.coefficient(1, 0), 0.5)
 
 
 def _rand_exprs(rnd, ctx):

@@ -139,6 +139,16 @@ def test_transcendental_rejects_non_units(ctx):
         Series2.monomial(ctx, -1, 0).exp(6)
 
 
+@pytest.mark.parametrize("text", ["z1", "1+z1^-1"], ids=["zero", "pole"])
+def test_log_of_a_non_unit_is_refused_with_the_expression_message(ctx, text):
+    # the one unit test of a log lives in Series2.log, so a Series2 and a job
+    # text give the same message
+    with pytest.raises(NotAUnit, match="^log of a non-unit$"):
+        eval_text(text, 8, ctx).log(8)
+    with pytest.raises(NotAUnit, match="^log of a non-unit$"):
+        eval_text(f"log({text})", 8, ctx)
+
+
 def test_exp_log_random_roundtrips(ctx):
     rnd = random.Random(21)
     for _ in range(20):
@@ -431,3 +441,22 @@ def test_series1_composition(ctx):
     assert comp.coefficient(2, 0) == ctx.from_int(1)
     assert comp.coefficient(3, 0) == ctx.from_int(2)
     assert comp.coefficient(4, 0) == ctx.from_int(1)
+
+
+# -- a zero shift returns its operand -----------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["exact", "truncated", "laurent"])
+def test_a_zero_shift_returns_the_operand(ctx, kind):
+    z1, z2, one = gens(ctx)
+    exact = one + z1 * z2 + z2.scale(Fraction(-1, 3))
+    s = {"exact": exact, "truncated": (one + z1 + z2).log(6),
+         "laurent": exact + Series2.monomial(ctx, -2, 1, Fraction(5, 2))}[kind]
+    assert s.div_monomial(0, 0) is s
+
+
+def test_approx_scale_within_the_tolerance_of_one_still_multiplies(approx_ctx):
+    s = Series2.from_terms(approx_ctx, {(0, 0): 1, (1, 1): 2}, order=6)
+    x = 1 + 1e-12
+    assert approx_ctx.eq(x, approx_ctx.one)  # one within the tolerance, yet not one
+    assert s.scale(x).coeffs == {(0, 0): x, (1, 1): 2 * x}

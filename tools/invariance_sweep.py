@@ -31,13 +31,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-import jobs as jobgen  # noqa: E402
 from charts import MAPS, pull_back  # noqa: E402
-from known_list import check, exit_code  # noqa: E402
+from known_list import benchmark_jobs, check, exit_code  # noqa: E402
 
 WORKLOADS = ("exact-transcendental", "exact-algebraic")
-SEEDS = (1, 7)
-ROUNDS = (0, 1)
 MAX_N = 16
 KNOWN = Path(__file__).with_name("invariance_sweep.json")
 
@@ -53,18 +50,15 @@ def sweep():
     """(runs, {"workload:seed:job id:map": [exit in its chart, exit pulled back]}
     of the differences)."""
     runs, found = 0, {}
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            for round_index in ROUNDS:
-                for job in jobgen.generate(workload, seed, round_index):
-                    if "scale" not in job.doc["w"] or job.N > MAX_N:
-                        continue
-                    own = exit_code(job.command, job.doc)
-                    for label, images in MAPS.items():
-                        runs += 1
-                        code = exit_code(job.command, _pulled_doc(job.doc, images))
-                        if code != own:
-                            found[f"{workload}:{seed}:{job.id}:{label}"] = [own, code]
+    for workload, seed, job in benchmark_jobs(WORKLOADS):
+        if "scale" not in job.doc["w"] or job.N > MAX_N:
+            continue
+        own = exit_code(job.command, job.doc)
+        for label, images in MAPS.items():
+            runs += 1
+            code = exit_code(job.command, _pulled_doc(job.doc, images))
+            if code != own:
+                found[f"{workload}:{seed}:{job.id}:{label}"] = [own, code]
     return runs, found
 
 

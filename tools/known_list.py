@@ -1,8 +1,10 @@
-"""What the sweeps in ``tools/`` share: a job's exit code through the CLI,
-and the check of what a sweep found against its recorded list of known
-defects, a list that may only shrink.
+"""What the sweeps in ``tools/`` share: the benchmark jobs they run (rounds
+0-1 of seeds 1 and 7), a job's exit code through the CLI, and the check of
+what a sweep found against its recorded list of known defects, a list that
+may only shrink.
 
-Import it once ``src/`` is on ``sys.path``, as the sweeps arrange.
+Import it once ``src/`` and ``perfbench/`` are on ``sys.path``, as the
+sweeps arrange.
 """
 
 from __future__ import annotations
@@ -12,7 +14,21 @@ import json
 from pathlib import Path
 from time import perf_counter
 
+import jobs as jobgen
 from symdiff2 import cli
+
+SEEDS = (1, 7)
+ROUNDS = (0, 1)
+
+
+def benchmark_jobs(workloads=None):
+    """(workload, seed, job) for every job of ROUNDS of SEEDS of ``workloads``,
+    by default every workload that ``perfbench/jobs.py`` generates."""
+    for workload in workloads or jobgen.WORKLOADS:
+        for seed in SEEDS:
+            for round_index in ROUNDS:
+                for job in jobgen.generate(workload, seed, round_index):
+                    yield workload, seed, job
 
 
 def exit_code(command: str, doc: dict):

@@ -29,29 +29,25 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import jobs as jobgen  # noqa: E402
+from known_list import benchmark_jobs  # noqa: E402
 from symdiff2 import cli  # noqa: E402
 
-SEEDS = (1, 7)
-ROUNDS = (0, 1)
 DIGESTS = Path(__file__).with_name("report_sweep.json")
 
 
 def sweep():
-    """{"workload:seed:job id": outcome} over SEEDS and ROUNDS, the outcome
+    """{"workload:seed:job id": outcome} over the benchmark jobs, the outcome
     [exit code, report sha256] for an exact job and the exit code for an
     approx job."""
     out = {}
-    for workload in jobgen.WORKLOADS:
+    for workload, seed, job in benchmark_jobs():
+        try:
+            code, text = cli.run([job.command], job.text)
+        except Exception as exc:  # recorded like any other outcome
+            code, text = None, f"{type(exc).__name__}: {exc}"
+        digest = hashlib.sha256(text.encode()).hexdigest()
         exact = jobgen.BACKENDS[workload] == "exact"
-        for seed in SEEDS:
-            for round_index in ROUNDS:
-                for job in jobgen.generate(workload, seed, round_index):
-                    try:
-                        code, text = cli.run([job.command], job.text)
-                    except Exception as exc:  # recorded like any other outcome
-                        code, text = None, f"{type(exc).__name__}: {exc}"
-                    digest = hashlib.sha256(text.encode()).hexdigest()
-                    out[f"{workload}:{seed}:{job.id}"] = [code, digest] if exact else code
+        out[f"{workload}:{seed}:{job.id}"] = [code, digest] if exact else code
     return out
 
 

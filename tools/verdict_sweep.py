@@ -24,11 +24,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-import jobs as jobgen  # noqa: E402
-from known_list import check, exit_code  # noqa: E402
+from known_list import benchmark_jobs, check, exit_code  # noqa: E402
 
-SEEDS = (1, 7)
-ROUNDS = (0, 1)
 STEP = 4
 FLIPS = Path(__file__).with_name("verdict_sweep.json")
 
@@ -36,17 +33,14 @@ FLIPS = Path(__file__).with_name("verdict_sweep.json")
 def sweep():
     """(jobs run, {"workload:seed:job id": [exit at N, exit at N + STEP]} of the flips)."""
     count, flips = 0, {}
-    for workload in jobgen.WORKLOADS:
-        for seed in SEEDS:
-            for round_index in ROUNDS:
-                for job in jobgen.generate(workload, seed, round_index):
-                    count += 1
-                    low = exit_code(job.command, job.doc)
-                    if low not in (0, 1):
-                        continue
-                    high = exit_code(job.command, {**job.doc, "truncation": job.N + STEP})
-                    if high != low:
-                        flips[f"{workload}:{seed}:{job.id}"] = [low, high]
+    for workload, seed, job in benchmark_jobs():
+        count += 1
+        low = exit_code(job.command, job.doc)
+        if low not in (0, 1):
+            continue
+        high = exit_code(job.command, {**job.doc, "truncation": job.N + STEP})
+        if high != low:
+            flips[f"{workload}:{seed}:{job.id}"] = [low, high]
     return count, flips
 
 

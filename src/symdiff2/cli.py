@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 valid negative verdict (for example NotSplit),
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import sys
 from dataclasses import is_dataclass
@@ -34,7 +35,7 @@ from .expressions import (MAX_NESTING, DifferentialInput, _lit_value, eval_ast,
                           fold_scalar, parse)
 from .local_forms import analyze_product_form, monodromy_index
 from .scalars import get_context
-from .series import INF
+from .series import INF, _term_key
 
 INPUT_ERRORS = (
     err.ExprSyntaxError,
@@ -71,10 +72,11 @@ _LEADING_TERMS = 10
 
 
 def _series_summary(s):
-    terms = s.terms_sorted()
+    # the leading terms in terms_sorted's order, without sorting every term
+    lead = heapq.nsmallest(_LEADING_TERMS, s.coeffs.items(), key=_term_key)
     return {
-        "leading_terms": [[i, j, s.ctx.fmt(c)] for (i, j), c in terms[:_LEADING_TERMS]],
-        "n_terms": len(terms),
+        "leading_terms": [[i, j, s.ctx.fmt(c)] for (i, j), c in lead],
+        "n_terms": len(s.coeffs),
         "order": "exact" if s.order is INF else s.order,
         "is_zero": s.is_zero(),
     }

@@ -24,7 +24,14 @@ is brought to integer (re, im) numerators over the lcm of its denominators,
 as FLINT's ``fmpq_poly`` stores a polynomial (Hart, ICMS 2010), or on the
 approx backend to its complex values over 1; weighted products are summed in
 one pass, and only the outputs become fractions again, or complex quotients.
-``_table`` and ``_sum`` are the only places that tell the backends apart.
+The exact boundary costs what the integers cost: a table takes one lcm over
+its distinct denominators and uses the numerators as they are when it is 1,
+and each output part is one Fraction in lowest terms (no gcd over 1), with
+no zero and no key beyond the order.  ``_kernel_series`` therefore takes an
+exact output as a ``Series2`` as it is, and sends an approx one through
+``Series2``, which drops values within the tolerance and refuses inf and nan.
+``_table``, ``_sum`` and ``_kernel_series`` are the only places that tell
+the backends apart.
 The kernel forms every product of two tables of at least two terms each; a
 product with a one-term operand, where the tabling costs more than it saves,
 is a key shift of the other operand.  A sum of weighted products ``start +
@@ -94,6 +101,11 @@ def _norm_order(order):
             return INF
         return int(order)
     return order
+
+
+def _term_key(kv):
+    """A term's place in ``terms_sorted``: by total degree, then by key."""
+    return kv[0][0] + kv[0][1], kv[0]
 
 
 def _axis_index(axis) -> int:
@@ -177,7 +189,7 @@ class Series2:
         return self.coeffs.get((i, j), self.ctx.zero)
 
     def terms_sorted(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]))
+        return sorted(self.coeffs.items(), key=_term_key)
 
     def _check_compat(self, other: "Series2"):
         if self.ctx != other.ctx:
@@ -251,7 +263,7 @@ class Series2:
         ctx = self.ctx
         if len(self.coeffs) > 1 and len(other.coeffs) > 1:
             a, b = _table(ctx, self.coeffs), _table(ctx, other.coeffs)
-            return Series2(ctx, _sum(ctx, [(1, 0, a, b)], order), order, self.names)
+            return _kernel_series(ctx, _sum(ctx, [(1, 0, a, b)], order), order, self.names)
         # a one-term operand shifts the other's keys; a zero one leaves none
         one, many = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
         out = {(i1 + i2, j1 + j2): c1 * c2 for (i1, j1), c1 in one.coeffs.items()
@@ -494,7 +506,7 @@ class Series2:
                 rows.setdefault(i, []).append((x, y, one, tb))
         terms = [(1, 0, powers[0][i][1], _table(ctx, _sum(ctx, row, claim, den=D)))
                  for i, row in rows.items()]
-        return Series2(ctx, _sum(ctx, terms, claim), claim, names)
+        return _kernel_series(ctx, _sum(ctx, terms, claim), claim, names)
 
     # -- display --------------------------------------------------------
 
@@ -556,27 +568,26 @@ def products_sum(terms: list, start: Series2 = None) -> Series2:
     kernel = [(int(w * den), 0, table(a), table(b)) for w, a, b in terms
               if a.coeffs and b.coeffs]
     target = table(start) if start is not None and start.coeffs else None
-    return Series2(ctx, _sum(ctx, kernel, order, target, den), order, ref.names)
+    return _kernel_series(ctx, _sum(ctx, kernel, order, target, den), order, ref.names)
 
 
 def _table(ctx, coeffs: dict, deg=None):
     """(D, rows, real) for a table {(i, j): c}, or for a form {x: c} of degree
     ``deg`` keyed (x, deg - x), with rows [(i, j, i + j, x, y)].  On the exact
-    backend D is the lcm of every real and imaginary denominator, x and y are
-    the integers re*D and im*D, and real says that every y is 0; on the
-    approx backend D = 1, x is the complex coefficient and y = 0."""
+    backend D is the lcm of the distinct real and imaginary denominators, x
+    and y are the integers re*D and im*D (the numerators themselves when D is
+    1), and real says that every y is 0; on the approx backend D = 1, x is the
+    complex coefficient and y = 0."""
+    items = coeffs.items() if deg is None else [((x, deg - x), c) for x, c in coeffs.items()]
     if ctx.name != "exact":
-        if deg is None:
-            return 1, [(i, j, i + j, c, 0) for (i, j), c in coeffs.items()], True
-        return 1, [(x, deg - x, deg, c, 0) for x, c in coeffs.items()], True
-    D = 1
-    for c in coeffs.values():
-        D = math.lcm(D, c.re.denominator, c.im.denominator)
-    rows = []
-    for k, c in coeffs.items():
-        i, j = k if deg is None else (k, deg - k)
-        rows.append((i, j, i + j, c.re.numerator * (D // c.re.denominator),
-                     c.im.numerator * (D // c.im.denominator)))
+        return 1, [(i, j, i + j, c, 0) for (i, j), c in items], True
+    values = coeffs.values()
+    D = math.lcm(*{c.re.denominator for c in values}, *{c.im.denominator for c in values})
+    if D == 1:
+        rows = [(i, j, i + j, c.re.numerator, c.im.numerator) for (i, j), c in items]
+    else:
+        rows = [(i, j, i + j, c.re.numerator * (D // c.re.denominator),
+                 c.im.numerator * (D // c.im.denominator)) for (i, j), c in items]
     return D, rows, not any(t[4] for t in rows)
 
 
@@ -584,13 +595,14 @@ def _sum(ctx, terms: list, order, target=None, den: int = 1, inv=None) -> dict:
     """inv * (target + S / den) as {(i, j): c} through ``order``, zero
     coefficients dropped.  S sums (wr + i*wi) * a * b over ``terms``
     [(wr, wi, a, b)] of integer weights and ``_table`` tables, skipping pairs
-    beyond ``order``; ``target`` is such a table or None, and ``inv`` the
-    one-row table of a scalar or None for 1.  The sum runs over the lcm M of
-    the denominators, as FLINT's fmpq_poly keeps a polynomial, with one loop
-    for real tables and weights (every approx table), and each output is
-    (x + i*y) / M: one Fraction per part on the exact backend, one complex
-    quotient on the approx backend.  Keys come in the order first seen: the
-    target's, then each term's pairs."""
+    beyond ``order``; ``target`` is such a table (its rows beyond ``order``
+    dropped) or None, and ``inv`` the one-row table of a scalar or None for
+    1.  The sum runs over the lcm M of the denominators, as FLINT's
+    fmpq_poly keeps a polynomial, with one loop for real tables and weights
+    (every approx table), and each output is (x + i*y) / M: one Fraction per
+    part on the exact backend, one complex quotient on the approx backend.
+    Keys come in the order first seen: the target's, then each term's
+    pairs."""
     L = 1
     for _, _, a, b in terms:
         L = math.lcm(L, a[0] * b[0])
@@ -600,9 +612,10 @@ def _sum(ctx, terms: list, order, target=None, den: int = 1, inv=None) -> dict:
         Dt, rows, _ = target
         M = math.lcm(Dt, M)
         f = M // Dt
-        for i, j, _, r, m in rows:
-            re[(i, j)] = r * f
-            im[(i, j)] = m * f
+        for i, j, d, r, m in rows:
+            if d <= order:
+                re[(i, j)] = r * f
+                im[(i, j)] = m * f
     s = M // (L * den)
     for wr, wi, (Da, ta, real_a), (Db, tb, real_b) in terms:
         f = s * (L // (Da * Db))
@@ -635,15 +648,29 @@ def _sum(ctx, terms: list, order, target=None, den: int = 1, inv=None) -> dict:
         if inv is not None:
             M /= lr
         return {k: x / M for k, x in re.items() if x}
-    zero = Fraction(0)
-    out = {}
+    # each part in lowest terms; over M = 1 the integer needs no gcd
+    frac = Fraction if M == 1 else (lambda x: Fraction(x, M))
+    zero, new, out = Fraction(0), object.__new__, {}
     for k, n in re.items():
         m = im.get(k, 0)
         if inv is not None:
             n, m = n * lr - m * li, n * li + m * lr
         if n or m:
-            out[k] = GaussianRational(Fraction(n, M), Fraction(m, M) if m else zero)
+            c = out[k] = new(GaussianRational)
+            c.re, c.im = frac(n), frac(m) if m else zero
     return out
+
+
+def _kernel_series(ctx, coeffs: dict, order, names) -> Series2:
+    """The series of a ``_sum`` output through ``order``.  An exact output is
+    taken as it is: it holds no zero and no key beyond ``order``.  An approx
+    output goes through ``Series2``, which drops values within the tolerance
+    and refuses inf and nan."""
+    if ctx.name != "exact":
+        return Series2(ctx, coeffs, order, names)
+    s = object.__new__(Series2)
+    s.ctx, s.coeffs, s.order, s.names = ctx, coeffs, _norm_order(order), tuple(names)
+    return s
 
 
 def _forms(s: Series2, lo: int, hi: int) -> list:

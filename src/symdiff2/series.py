@@ -578,9 +578,11 @@ def _table(ctx, coeffs: dict, deg=None):
     and y are the integers re*D and im*D (the numerators themselves when D is
     1), and real says that every y is 0; on the approx backend D = 1, x is the
     complex coefficient and y = 0."""
-    items = coeffs.items() if deg is None else [((x, deg - x), c) for x, c in coeffs.items()]
     if ctx.name != "exact":
-        return 1, [(i, j, i + j, c, 0) for (i, j), c in items], True
+        if deg is None:
+            return 1, [(i, j, i + j, c, 0) for (i, j), c in coeffs.items()], True
+        return 1, [(x, deg - x, deg, c, 0) for x, c in coeffs.items()], True
+    items = coeffs.items() if deg is None else [((x, deg - x), c) for x, c in coeffs.items()]
     values = coeffs.values()
     D = math.lcm(*{c.re.denominator for c in values}, *{c.im.denominator for c in values})
     if D == 1:

@@ -37,7 +37,6 @@ from functools import cached_property
 from .errors import (
     BackendMismatch,
     DivisionByNonUnit,
-    ExactValueError,
     ExponentNotScalar,
     ExprSyntaxError,
     NotAUnit,
@@ -438,26 +437,18 @@ def shift_variable(node, var: str, amount):
 class UnitConstant:
     """A nonzero constant kept in factored symbolic form.
 
-    ``rational * exp(exp_arg) * prod(base ** exponent)`` where ``rational``
-    is an ordinary scalar and the other parts may not be representable on
-    the exact backend.  Products of these cancel coefficient-blind, which is
-    what lets a recentered differential stay exact even when its individual
-    factors pick up constants like ``exp(1/2)``.
+    ``exp(exp_arg) * prod(base ** exponent)``, whose parts may not be
+    representable on the exact backend.  Products of these cancel
+    coefficient-blind, which is what lets a recentered differential stay
+    exact even when its individual factors pick up constants like
+    ``exp(1/2)``.  Every rational factor stays in the series.
     """
 
-    __slots__ = ("rational", "exp_arg", "pows")
+    __slots__ = ("exp_arg", "pows")
 
-    def __init__(self, ctx: ScalarContext, rational=None, exp_arg=None, pows=()):
-        self.rational = ctx.one if rational is None else rational
+    def __init__(self, ctx: ScalarContext, exp_arg=None, pows=()):
         self.exp_arg = ctx.zero if exp_arg is None else exp_arg
         self.pows = tuple(pows)
-
-    def is_trivial(self, ctx) -> bool:
-        return (
-            not self.pows
-            and ctx.is_zero(self.exp_arg)
-            and ctx.eq(self.rational, ctx.one)
-        )
 
     def _merge_pows(self, ctx, pows):
         merged = []
@@ -471,42 +462,31 @@ class UnitConstant:
         return tuple((b, e) for b, e in merged if not ctx.is_zero(e))
 
     def mul(self, ctx, other: "UnitConstant") -> "UnitConstant":
-        return UnitConstant(
-            ctx,
-            self.rational * other.rational,
-            self.exp_arg + other.exp_arg,
-            self._merge_pows(ctx, self.pows + other.pows),
-        )
+        return UnitConstant(ctx, self.exp_arg + other.exp_arg,
+                            self._merge_pows(ctx, self.pows + other.pows))
 
     def pow(self, ctx, e) -> "UnitConstant":
-        n = _as_int(e)
-        if n is not None:
-            return UnitConstant(
-                ctx,
-                self.rational ** n,
-                self.exp_arg * ctx.from_int(n),
-                tuple((b, x * ctx.from_int(n)) for b, x in self.pows),
-            )
         es = ctx.coerce(e)
-        try:
-            rat = ctx.pow(self.rational, e)
-            pows = tuple((b, x * es) for b, x in self.pows)
-        except ExactValueError:
-            rat = ctx.one
-            pows = ((self.rational, es),) + tuple((b, x * es) for b, x in self.pows)
-        return UnitConstant(ctx, rat, self.exp_arg * es, self._merge_pows(ctx, pows))
+        return UnitConstant(ctx, self.exp_arg * es,
+                            self._merge_pows(ctx, tuple((b, x * es) for b, x in self.pows)))
 
     def collapse(self, ctx):
         """Resolve to an ordinary scalar; exact backend raises when impossible."""
-        value = self.rational
+        value = ctx.one
         if not ctx.is_zero(self.exp_arg):
             value = value * ctx.exp(self.exp_arg)
         for base, e in self.pows:
             value = value * ctx.pow(base, e)
         return value
 
+    def times(self, ctx, s: Series2) -> Series2:
+        """The series c * s: s itself when the constant is 1."""
+        if not self.pows and ctx.is_zero(self.exp_arg):
+            return s
+        return s.scale(self.collapse(ctx))
+
     def __repr__(self):
-        return f"UnitConstant(rational={self.rational}, exp_arg={self.exp_arg}, pows={self.pows})"
+        return f"UnitConstant(exp_arg={self.exp_arg}, pows={self.pows})"
 
 
 # -- evaluation -------------------------------------------------------------
@@ -579,21 +559,14 @@ def _evn(node, ctx, order):
         if node.op == "/":
             return s1.divide(s2, order), c1.mul(ctx, c2.pow(ctx, -1))
         # additive: constants must reconcile
-        sign = 1 if node.op == "+" else -1
-        try:
-            rho = c1.mul(ctx, c2.pow(ctx, -1)).collapse(ctx)
-            combined = s1.scale(rho) + (s2 if sign > 0 else -s2)
-            return combined, c2
-        except ExactValueError:
-            rho = c2.mul(ctx, c1.pow(ctx, -1)).collapse(ctx)
-            combined = s1 + (s2.scale(rho) if sign > 0 else -s2.scale(rho))
-            return combined, c1
+        s1 = c1.mul(ctx, c2.pow(ctx, -1)).times(ctx, s1)
+        return (s1 + s2 if node.op == "+" else s1 - s2), c2
     if isinstance(node, Pow):
         e = _lit_value(ctx, node.exponent)
         s, c = _evn(node.base, ctx, order)
         if ctx.name == "exact":  # a truncated base grows through its constant term
             terms = s.coeffs.values() if s.order is INF else [s.constant_term]
-            _check_scalar_power([*terms, c.rational], e)
+            _check_scalar_power(terms, e)
             for base, x in c.pows:
                 _check_scalar_power([base], x * e)
         n = _as_int(e)
@@ -614,7 +587,7 @@ def _evn(node, ctx, order):
         return series, const
     if isinstance(node, Call):
         s, c = _evn(node.arg, ctx, order)
-        value = s.scale(c.collapse(ctx))
+        value = c.times(ctx, s)
         if node.fn == "exp":
             gamma = value.constant_term
             series = (value - gamma).exp(order)
@@ -630,7 +603,7 @@ def _evn(node, ctx, order):
 def eval_ast(node, order: int, ctx: ScalarContext) -> Series2:
     """Evaluate an AST into a Series2 through the requested order."""
     s, c = _evn(node, ctx, order)
-    return s if c.is_trivial(ctx) else s.scale(c.collapse(ctx))
+    return c.times(ctx, s)
 
 
 def eval_text(text: str, order: int, ctx: ScalarContext) -> Series2:
@@ -696,7 +669,7 @@ class DifferentialInput:
                 eval_normalized(n, ctx, order) for n in nodes
             )
             combined = c_h.mul(ctx, c_u).mul(ctx, c_r)
-            self._factors[key] = s_h.scale(combined.collapse(ctx)), s_u, s_r
+            self._factors[key] = combined.times(ctx, s_h), s_u, s_r
         return self._factors[key]
 
     def coefficient_triple(self, ctx: ScalarContext, order: int):

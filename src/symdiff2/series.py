@@ -46,13 +46,14 @@ scalar or form.  With the weights of the Euler operator ``z1*d/dz1 +
 z2*d/dz2`` (Brent-Kung for exp/log, J.C.P. Miller for powers) it gives
 ``exp``, ``log`` and fractional ``pow_scalar`` (``sqrt`` is the power 1/2) for
 about one truncated product, and with a leading form the roots of
-``differentials``.  With weight -1 it divides: by a scalar lead in
-``divide``, every quotient by z1^k times a unit (``invert_unit`` is 1/u), and
-by a leading form in the local-ring quotients of ``differentials``.  Degree d
-reads only input parts of degree <= d, so a result is guaranteed through
-exactly the order of its input.  Each degree is one call of the kernel, which
-also applies the Euler weight's 1/e and a scalar lead's inverse once per
-output coefficient.
+``differentials``; the operand's constant term U_0 is the lead (1 for
+``exp``) and its image the start P_0, so nothing is normalised and rescaled.
+With weight -1 it divides: by a scalar lead in ``divide``, every quotient by
+z1^k times a unit (``invert_unit`` is 1/u), and by a leading form in the
+local-ring quotients of ``differentials``.  Degree d reads only input parts
+of degree <= d, so a result is guaranteed through exactly the order of its
+input.  Each degree is one call of the kernel, which also applies the Euler
+weight's 1/e and a scalar lead's inverse once per output coefficient.
 
 An integer power is repeated squaring of the base, and a negative one the
 quotient 1 / base^-n; a power is exact only when no order is asked for, and
@@ -404,19 +405,15 @@ class Series2:
     def exp(self, order=None) -> "Series2":
         if self.pole:
             raise ValuationError("exp requires a pole-free series")
-        order = self._resolve_order(order)
-        c = self.constant_term
-        lead = self.ctx.exp(c) if not self.ctx.is_zero(c) else self.ctx.one
-        return self._graded(order, self.ctx.one, 0).scale(lead)
+        return self._graded(self._resolve_order(order), self.ctx.exp(self.constant_term),
+                            self.ctx.one, 0)
 
     def log(self, order=None) -> "Series2":
         if not self.is_unit:
             raise NotAUnit("log of a non-unit")
-        order = self._resolve_order(order)
         c = self.constant_term
-        lead = self.ctx.zero if self.ctx.eq(c, self.ctx.one) else self.ctx.log(c)
-        u = self.scale(self.ctx.inv(c))
-        return u._graded(order, self.ctx.one, 1, log=True) + lead
+        p0 = self.ctx.zero if self.ctx.eq(c, self.ctx.one) else self.ctx.log(c)
+        return self._graded(self._resolve_order(order), p0, self.ctx.one, 1, log=True)
 
     def pow_scalar(self, e, order=None) -> "Series2":
         """Raise to a scalar power; an integer power is a product, and a
@@ -433,26 +430,25 @@ class Series2:
             return one.divide(u._int_pow(-n, cut), order).div_monomial(-k * n, 0)
         if not self.is_unit:
             raise NotAUnit("fractional powers require a unit base")
-        c = self.constant_term
-        lead = self.ctx.pow(c, e)  # an inexact lead raises before the solve
-        u = self.scale(self.ctx.inv(c))
+        p0 = self.ctx.pow(self.constant_term, e)  # an inexact one raises before the solve
         alpha = self.ctx.coerce(e)
-        return u._graded(self._resolve_order(order), alpha + self.ctx.one, 1).scale(lead)
+        return self._graded(self._resolve_order(order), p0, alpha + self.ctx.one, 1)
 
     def sqrt(self, order=None) -> "Series2":
         return self.pow_scalar(Fraction(1, 2), order)
 
-    def _graded(self, order, a, b, log=False) -> "Series2":
+    def _graded(self, order, p0, a, b, log=False) -> "Series2":
         """The series P solved degree by degree through ``order`` from the
-        parts U_k (k >= 1) of this pole-free series by the Euler recurrence
-        d*P_d = sum_{k=1..d} (a*k - b*d)*U_k*P_{d-k} [+ d*U_d if log], with
-        P_0 = 1 (0 if log).  For U_0 = 1, (a, b) = (1, 0) gives exp(U - 1),
-        (alpha + 1, 1) gives U**alpha and (1, 1) with log gives log(U)."""
+        parts U_k of this pole-free series by the Euler recurrence
+        U_0^b*d*P_d = sum_{k=1..d} (a*k - b*d)*U_k*P_{d-k} [+ d*U_d if log]
+        from P_0 = p0: (a, b) = (1, 0) gives exp(U) from exp(U_0), (alpha + 1,
+        1) U**alpha from U_0**alpha, and (1, 1) with log log(U) from log(U_0)."""
         ctx = self.ctx
         parts = _forms(self, 0, order)
         target = parts if log else [{}] * (order + 1)
-        start = [{} if log else {0: ctx.one}]
-        solved = _graded_solve(ctx, target, ctx.one, start, parts, (a, b))
+        start = [{0: p0} if not ctx.is_zero(p0) else {}]
+        lead = self.constant_term if b else ctx.one
+        solved = _graded_solve(ctx, target, lead, start, parts, (a, b))
         return _from_forms(ctx, solved, 0, order, self.names)
 
     # -- composition ----------------------------------------------------
@@ -818,10 +814,9 @@ class CoordMap:
 
 
 def reverse_map(phi: CoordMap, order=None) -> CoordMap:
-    """Compositional inverse by graded jet lifting.
-
-    Solves the linear part, then corrects one total degree per pass, so the
-    result is exact through the guaranteed order of the input map.
+    """Compositional inverse by graded jet lifting: for phi = A*v + h (h of
+    degree >= 2), psi = A^-1*v - (A^-1*h)(psi) gains one exact total degree
+    per composition, through the guaranteed order of the input map.
     """
     ctx = phi.ctx
     names = phi.names
@@ -839,17 +834,14 @@ def reverse_map(phi: CoordMap, order=None) -> CoordMap:
     def lin_inv(s1, s2):
         return (s1.scale(b11) + s2.scale(b12), s1.scale(b21) + s2.scale(b22))
 
-    # the parts of degree 2 and more: each component minus its linear part
-    h1 = phi.comp1 - Series2(ctx, {(1, 0): a11, (0, 1): a12}, INF, names)
-    h2 = phi.comp2 - Series2(ctx, {(1, 0): a21, (0, 1): a22}, INF, names)
-    v1 = Series2.variable(ctx, 0, order, names)
-    v2 = Series2.variable(ctx, 1, order, names)
-    psi1, psi2 = lin_inv(v1, v2)
+    # A^-1 applied once, to h (each component minus its linear part) and to v
+    g1, g2 = lin_inv(phi.comp1 - Series2(ctx, {(1, 0): a11, (0, 1): a12}, INF, names),
+                     phi.comp2 - Series2(ctx, {(1, 0): a21, (0, 1): a22}, INF, names))
+    w1, w2 = psi1, psi2 = lin_inv(Series2.variable(ctx, 0, order, names),
+                                  Series2.variable(ctx, 1, order, names))
     for d in range(2, order + 1):
-        e1 = v1 - h1.substitute(psi1, psi2, d)
-        e2 = v2 - h2.substitute(psi1, psi2, d)
-        psi1, psi2 = lin_inv(e1, e2)
-        psi1, psi2 = psi1.truncated(d), psi2.truncated(d)
+        psi1, psi2 = ((w1 - g1.substitute(psi1, psi2, d)).truncated(d),
+                      (w2 - g2.substitute(psi1, psi2, d)).truncated(d))
     # the graded construction determines the degree<=order jet exactly
     psi1 = Series2(ctx, psi1.coeffs, order, names)
     psi2 = Series2(ctx, psi2.coeffs, order, names)

@@ -22,7 +22,8 @@ def ref_invert_unit(u, order):
     cinv = u.ctx.inv(u.constant_term)
     if len(u.coeffs) == 1:
         return Series2(u.ctx, {(0, 0): cinv}, u.order, u.names)
-    return u.scale(cinv)._graded(u._resolve_order(order), u.ctx.zero, 1).scale(cinv)
+    # normalised to constant term 1, solved from P_0 = 1, rescaled
+    return u.scale(cinv)._graded(u._resolve_order(order), u.ctx.one, u.ctx.zero, 1).scale(cinv)
 
 
 def ref_series_div(num, den, order):

@@ -1,5 +1,8 @@
+import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from symdiff2 import APPROX, EXACT, INF
+from symdiff2.cli import EXIT_INPUT, run
 from symdiff2.errors import (
     BackendMismatch,
     DivisionByNonUnit,
+    ExactValueError,
     ExponentNotScalar,
     ExprSyntaxError,
     NotAUnit,
@@ -335,6 +340,27 @@ def test_eval_exact_constant_exp_raises():
     s = eval_text("log(2+z1)", 8, APPROX)
     assert APPROX.eq(s.constant_term, complex(math.log(2)))
     assert APPROX.eq(s.coefficient(1, 0), 0.5)
+
+
+@pytest.mark.parametrize("text, quotient", [("exp(1/2)+z1", "exp(1/2)"),
+                                            ("z1+exp(1/2)", "exp(-1/2)")])
+def test_sum_of_unequal_constants_needs_their_quotient(text, quotient):
+    # a sum scales its left operand by c1/c2, which is exact exactly when
+    # c2/c1 is: the error names c1/c2
+    with pytest.raises(ExactValueError, match=re.escape(f"{quotient} is not a Gaussian")):
+        eval_text(text, 8, EXACT)
+    job = {"truncation": 8, "backend": "exact", "w": {"a": text, "b": "0", "c": "1"}}
+    assert run(["classify"], json.dumps(job))[0] == EXIT_INPUT
+    # the approx backend collapses the constant
+    s = eval_text(text, 8, APPROX)
+    assert APPROX.eq(s.constant_term, complex(math.exp(0.5)))
+    assert APPROX.eq(s.coefficient(1, 0), 1)
+
+
+def test_sum_of_equal_constants_keeps_the_constant():
+    s, c = eval_normalized(parse("exp(1/2)*z1+exp(1/2)*z2"), EXACT, 8)
+    assert s.coeffs == eval_text("z1+z2", 8, EXACT).coeffs
+    assert c.exp_arg == EXACT.from_rational(Fraction(1, 2)) and not c.pows
 
 
 def _rand_exprs(rnd, ctx):

@@ -173,3 +173,17 @@ def test_approx_matches_exact(op, new, ref, name):
             # tolerance (ROADMAP item 5); the complex-lead inverses reach it
             continue
         assert abs(approx.coeffs[k] - want) <= 1e-12 * abs(want), (k, approx.coeffs[k], want)
+
+
+@pytest.mark.parametrize("op,new,ref", [("exp", lambda s, o: s.exp(o), ref_exp),
+                                        ("log", lambda s, o: s.log(o), ref_log)])
+@pytest.mark.parametrize("name", ["rational-lead", "complex-lead"])
+def test_approx_solve_starts_from_the_constant_term(op, new, ref, name):
+    # exp of a nonzero constant term and log of one other than 1 exist only on
+    # the approx backend: the solve's start and lead are that constant term
+    s = exact_unit(name).as_backend(APPROX)
+    got, want = new(s, 9), ref(s, 9)
+    assert got.order == want.order == 9
+    assert set(got.coeffs) == set(want.coeffs)
+    for k, c in want.coeffs.items():
+        assert abs(got.coeffs[k] - c) <= 1e-12 * abs(c), (k, got.coeffs[k], c)

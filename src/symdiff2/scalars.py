@@ -3,10 +3,14 @@
 Two interchangeable coefficient domains drive the whole series engine:
 
 * ``exact``  -- Gaussian rationals, i.e. complex numbers with arbitrary
-  precision rational real and imaginary parts.  Every field operation is
-  exact and equality is decidable.  Transcendental constants (``exp`` of a
-  nonzero rational, ``log`` of anything but 1, roots that do not exist in
-  Q(i)) raise :class:`~symdiff2.errors.ExactValueError` instead of silently
+  precision rational real and imaginary parts.  Each part is a Python ``int``
+  when it is integral and otherwise a ``Fraction`` in lowest terms with a
+  denominator above 1, so integer data never pays for ``Fraction`` (as FLINT
+  keeps an integer a machine integer until it must be a rational; Hart, ICMS
+  2010).  Every field operation is exact and equality is decidable.
+  Transcendental constants (``exp`` of a nonzero rational, ``log`` of
+  anything but 1, roots that do not exist in Q(i)) raise
+  :class:`~symdiff2.errors.ExactValueError` instead of silently
   approximating.
 * ``approx`` -- complex doubles with a relative comparison tolerance ``tol``
   (default ``1e-9``).  ``x == y`` means ``|x - y| <= tol * max(1, |x|, |y|)``.
@@ -27,17 +31,20 @@ from fractions import Fraction
 from .errors import ExactValueError
 
 DEFAULT_TOLERANCE = 1e-9
-# An exact scalar is a pair of fractions of unbounded size.  No numerator or
+# An exact scalar is a pair of rationals of unbounded size.  No numerator or
 # denominator above this many bits is formed from the input (see
 # ``expressions``) or formatted; the cap stays below Python's default limit
 # for converting an int to text (4300 digits, about 14284 bits).
 MAX_SCALAR_BITS = 1 << 13
 
-_FR0 = Fraction(0)
-_FR1 = Fraction(1)
-# results of the hot operators skip __init__'s coercion: both parts are
-# already Fractions
+# results of the hot operators skip __init__'s coercion: their parts are ints
+# or Fractions, and _part turns an integral Fraction into its int
 _new = object.__new__
+
+
+def _part(q):
+    """q as an exact part: an int when integral, else the Fraction itself."""
+    return q if q.__class__ is int or q.denominator != 1 else q.numerator
 
 
 def _iroot(n: int, k: int):
@@ -75,8 +82,8 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         if isinstance(re, float) or isinstance(im, float):
             raise TypeError("GaussianRational components must be exact rationals")
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        self.re = re if re.__class__ is int else _part(Fraction(re))
+        self.im = im if im.__class__ is int else _part(Fraction(im))
 
     @staticmethod
     def _coerce(other):
@@ -91,8 +98,8 @@ class GaussianRational:
         if o is None:
             return NotImplemented
         r = _new(GaussianRational)
-        r.re = self.re + o.re
-        r.im = self.im + o.im if self.im or o.im else _FR0
+        r.re = _part(self.re + o.re)
+        r.im = _part(self.im + o.im) if self.im or o.im else 0
         return r
 
     __radd__ = __add__
@@ -102,8 +109,8 @@ class GaussianRational:
         if o is None:
             return NotImplemented
         r = _new(GaussianRational)
-        r.re = self.re - o.re
-        r.im = self.im - o.im if self.im or o.im else _FR0
+        r.re = _part(self.re - o.re)
+        r.im = _part(self.im - o.im) if self.im or o.im else 0
         return r
 
     def __rsub__(self, other):
@@ -114,7 +121,7 @@ class GaussianRational:
 
     def __neg__(self):
         r = _new(GaussianRational)
-        r.re, r.im = -self.re, -self.im if self.im else _FR0
+        r.re, r.im = -self.re, -self.im if self.im else 0
         return r
 
     def __mul__(self, other):
@@ -124,10 +131,10 @@ class GaussianRational:
         r = _new(GaussianRational)
         # real-only fast path: the common case by far
         if not self.im and not o.im:
-            r.re, r.im = self.re * o.re, _FR0
+            r.re, r.im = _part(self.re * o.re), 0
         else:
-            r.re = self.re * o.re - self.im * o.im
-            r.im = self.re * o.im + self.im * o.re
+            r.re = _part(self.re * o.re - self.im * o.im)
+            r.im = _part(self.re * o.im + self.im * o.re)
         return r
 
     __rmul__ = __mul__
@@ -136,12 +143,13 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # a quotient of two ints is a Fraction, never a float
         if not self.im and not o.im:
-            return GaussianRational(self.re / o.re)
+            return GaussianRational(Fraction(self.re, o.re))
         n = o.re * o.re + o.im * o.im
         return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
+            Fraction(self.re * o.re + self.im * o.im, n),
+            Fraction(self.im * o.re - self.re * o.im, n),
         )
 
     def __rtruediv__(self, other):
@@ -180,7 +188,7 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        return f"GaussianRational({Fraction(self.re)!r}, {Fraction(self.im)!r})"
 
     def __str__(self):
         return format_exact(self)

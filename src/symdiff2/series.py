@@ -23,13 +23,14 @@ One kernel, ``_sum``, serves every convolution on both backends: each table
 is brought to integer (re, im) numerators over the lcm of its denominators,
 as FLINT's ``fmpq_poly`` stores a polynomial (Hart, ICMS 2010), or on the
 approx backend to its complex values over 1; weighted products are summed in
-one pass, and only the outputs become fractions again, or complex quotients.
+one pass, and only the outputs become exact parts again, or complex quotients.
 The exact boundary costs what the integers cost: a table takes one lcm over
 its distinct denominators and uses the numerators as they are when it is 1,
-and each output part is one Fraction in lowest terms (no gcd over 1), with
-no zero and no key beyond the order.  ``_kernel_series`` therefore takes an
-exact output as a ``Series2`` as it is, and sends an approx one through
-``Series2``, which drops values within the tolerance and refuses inf and nan.
+and each output part is an int when the lcm divides it (the integer itself
+over 1) and otherwise one Fraction in lowest terms, with no zero and no key
+beyond the order.  ``_kernel_series`` therefore takes an exact output as a
+``Series2`` as it is, and sends an approx one through ``Series2``, which
+drops values within the tolerance and refuses inf and nan.
 ``_table``, ``_sum`` and ``_kernel_series`` are the only places that tell
 the backends apart.
 The kernel forms every product of two tables of at least two terms each; a
@@ -571,7 +572,7 @@ def _table(ctx, coeffs: dict, deg=None):
     """(D, rows, real) for a table {(i, j): c}, or for a form {x: c} of degree
     ``deg`` keyed (x, deg - x), with rows [(i, j, i + j, x, y)].  On the exact
     backend D is the lcm of the distinct real and imaginary denominators, x
-    and y are the integers re*D and im*D (the numerators themselves when D is
+    and y are the integers re*D and im*D (the int parts themselves when D is
     1), and real says that every y is 0; on the approx backend D = 1, x is the
     complex coefficient and y = 0."""
     if ctx.name != "exact":
@@ -597,8 +598,9 @@ def _sum(ctx, terms: list, order, target=None, den: int = 1, inv=None) -> dict:
     dropped) or None, and ``inv`` the one-row table of a scalar or None for
     1.  The sum runs over the lcm M of the denominators, as FLINT's
     fmpq_poly keeps a polynomial, with one loop for real tables and weights
-    (every approx table), and each output is (x + i*y) / M: one Fraction per
-    part on the exact backend, one complex quotient on the approx backend.
+    (every approx table), and each output is (x + i*y) / M: on the exact
+    backend each part is x // M when M divides x and otherwise one Fraction
+    in lowest terms, on the approx backend one complex quotient.
     Keys come in the order first seen: the target's, then each term's
     pairs."""
     L = 1
@@ -646,16 +648,17 @@ def _sum(ctx, terms: list, order, target=None, den: int = 1, inv=None) -> dict:
         if inv is not None:
             M /= lr
         return {k: x / M for k, x in re.items() if x}
-    # each part in lowest terms; over M = 1 the integer needs no gcd
-    frac = Fraction if M == 1 else (lambda x: Fraction(x, M))
-    zero, new, out = Fraction(0), object.__new__, {}
+    # each part an int when M divides it, else a Fraction in lowest terms;
+    # over M = 1 the integer itself
+    part = int if M == 1 else (lambda x: Fraction(x, M) if x % M else x // M)
+    new, out = object.__new__, {}
     for k, n in re.items():
         m = im.get(k, 0)
         if inv is not None:
             n, m = n * lr - m * li, n * li + m * lr
         if n or m:
             c = out[k] = new(GaussianRational)
-            c.re, c.im = frac(n), frac(m) if m else zero
+            c.re, c.im = part(n), part(m) if m else 0
     return out
 
 

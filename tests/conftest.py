@@ -3,6 +3,7 @@
 All randomness is seeded per test, so failures reproduce deterministically.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,14 @@ def rand_nonzero_fraction(rnd: random.Random, small: int = 3) -> Fraction:
         q = rand_fraction(rnd, small)
         if q:
             return q
+
+
+def assert_exact_parts(x):
+    """Each part of the exact scalar x is an int when integral, and otherwise
+    a Fraction in lowest terms with a denominator above 1."""
+    for q in (x.re, x.im):
+        assert type(q) is int or (type(q) is Fraction and q.denominator > 1
+                                  and math.gcd(q.numerator, q.denominator) == 1)
 
 
 def rand_scalar(ctx, rnd: random.Random, complex_ok: bool = True):

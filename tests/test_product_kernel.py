@@ -20,7 +20,8 @@ an lcm taken per coefficient, and one ``GaussianRational(Fraction(n, M),
 the same outputs, key order included.  Every exact result of ``__mul__``,
 ``products_sum`` and ``substitute`` is taken without a second pass, so it
 must already be what ``Series2`` would make of it: no zero, no key beyond
-its order, each part a Fraction in lowest terms.
+its order, each part an int when integral and otherwise a Fraction in
+lowest terms.
 """
 
 import math
@@ -32,7 +33,7 @@ import pytest
 from symdiff2 import APPROX, EXACT, INF, Series2
 from symdiff2.scalars import GaussianRational
 from symdiff2.series import _norm_order, _sum, _table, products_sum
-from conftest import absolute, assert_within_rounding, rand_coordmap
+from conftest import absolute, assert_exact_parts, assert_within_rounding, rand_coordmap
 
 
 def ref_mul(a, b):
@@ -241,15 +242,13 @@ def ref_sum(terms, order, target=None, den=1, inv=None):
 
 def assert_clean(s):
     """``s`` is what Series2 makes of its own table: the same keys in the
-    same order, no zero, no key beyond the order, every part a Fraction in
-    lowest terms."""
+    same order, no zero, no key beyond the order, every part an int when
+    integral and otherwise a Fraction in lowest terms."""
     rebuilt = Series2(s.ctx, dict(s.coeffs), s.order, s.names)
     assert list(rebuilt.coeffs.items()) == list(s.coeffs.items())
     for (i, j), c in s.coeffs.items():
         assert c and j >= 0 and (s.order is INF or i + j <= s.order)
-        for q in (c.re, c.im):
-            assert type(q) is Fraction
-            assert q.denominator > 0 and math.gcd(q.numerator, q.denominator) == 1
+        assert_exact_parts(c)
 
 
 def rand_form(rnd, deg, nterms, *, complex_ok, integer):
@@ -295,7 +294,20 @@ def test_boundary_matches_the_retired_boundary(seed):
         want = ref_sum(terms, order, target, den, inv)
         assert list(got.items()) == list(want.items())
         for c in got.values():
-            assert type(c.re) is Fraction and type(c.im) is Fraction
+            assert_exact_parts(c)
+
+
+def test_exact_kernel_output_over_a_common_denominator_is_int():
+    # M = 2 divides every output of (z1/2 + z2/2) * (2*z1 + 2*z2)
+    half, two = EXACT.from_rational(Fraction(1, 2)), EXACT.from_int(2)
+    a = Series2.from_terms(EXACT, {(1, 0): half, (0, 1): half})
+    b = Series2.from_terms(EXACT, {(1, 0): two, (0, 1): two})
+    assert _table(EXACT, a.coeffs)[0] == 2
+    p = a * b
+    assert p.coeffs == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+    for c in p.coeffs.values():
+        assert type(c.re) is int and type(c.im) is int
+    assert_clean(p)
 
 
 @pytest.mark.parametrize("seed", range(4))

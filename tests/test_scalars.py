@@ -6,6 +6,7 @@ import pytest
 from symdiff2 import APPROX, EXACT, BackendMismatch, ExactValueError, Series2
 from symdiff2.scalars import (MAX_SCALAR_BITS, ApproxContext, GaussianRational,
                               format_complex, format_exact)
+from conftest import assert_exact_parts
 
 
 def test_gaussian_rational_field_ops():
@@ -32,7 +33,7 @@ def test_operators_on_real_complex_and_plain_operands():
             (-gx, (-gx.re, -gx.im)),
         ):
             assert (got.re, got.im) == want
-            assert type(got.re) is Fraction and type(got.im) is Fraction
+            assert_exact_parts(got)
 
 
 def test_gaussian_rational_rejects_floats():
@@ -135,3 +136,44 @@ def test_format_exact_holds_every_part_to_the_bit_cap():
               GaussianRational(0, -top - 1)):
         with pytest.raises(ValueError, match="MAX_SCALAR_BITS"):
             format_exact(x)
+
+
+def test_quotients_are_exact_parts_never_floats():
+    third = Fraction(1, 3)
+    for got, want in (
+        (GaussianRational(1) / 3, (third, 0)),
+        (EXACT.inv(GaussianRational(3)), (third, 0)),
+        (GaussianRational(4) / 2, (2, 0)),
+        (GaussianRational(2) ** -2, (Fraction(1, 4), 0)),
+        (GaussianRational(1, 2) / GaussianRational(3, -4), (Fraction(-1, 5), Fraction(2, 5))),
+        (GaussianRational(-5, 10) / GaussianRational(1, 2), (3, 4)),
+        (1 / GaussianRational(0, 2), (0, Fraction(-1, 2))),
+    ):
+        assert (got.re, got.im) == want
+        assert_exact_parts(got)
+
+
+def test_every_producer_keeps_integral_parts_ints():
+    half = GaussianRational(Fraction(1, 2))
+    assert type(GaussianRational(Fraction(4, 2)).re) is int
+    assert type(GaussianRational(True).re) is int
+    for got in (half * 2, half + half, half - Fraction(-1, 2), 2 - half - half,
+                -GaussianRational(Fraction(6, 3), Fraction(-8, 4)),
+                GaussianRational(Fraction(1, 2), Fraction(1, 2)) * GaussianRational(1, -1)):
+        assert_exact_parts(got)
+        assert type(got.re) is int and type(got.im) is int
+
+
+def test_int_and_fraction_parts_are_one_key():
+    pairs = ((GaussianRational(Fraction(2)), GaussianRational(2)),
+             (GaussianRational(Fraction(2), Fraction(1, 2)), GaussianRational(2, Fraction(1, 2))),
+             (GaussianRational(Fraction(3, 2)) * 2, GaussianRational(3)))
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert (type(a.re), type(a.im)) == (type(b.re), type(b.im))
+
+
+def test_repr_shows_fraction_parts():
+    assert repr(GaussianRational(Fraction(-1, 8))) == "GaussianRational(Fraction(-1, 8), Fraction(0, 1))"
+    assert repr(GaussianRational(2, -1)) == "GaussianRational(Fraction(2, 1), Fraction(-1, 1))"
